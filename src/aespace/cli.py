@@ -21,12 +21,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, data_model, encoder, ranker, synth, trainer, video
 from .errors import AespaceError, ConfigError
 from .loss import LossConfig
-from .sampler import SamplerConfig, TripletSampler, write_triplets_csv
+from .sampler import SamplerConfig, TripletSampler
 from .trainer import TrainConfig
 from .video import KalmanConfig, PeakConfig
 
@@ -185,11 +183,7 @@ def _cmd_synth(args):
 
 def _cmd_score(args):
     dataset = data_model.load_dataset(args.input)
-    scores = dataset.scores()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,score\n")
-        for record, score in zip(dataset.records, scores):
-            fh.write(f"{record.id},{float(score)!r}\n")
+    data_model.write_csv(args.out, ("id", "score"), zip(dataset.ids(), dataset.scores().tolist()))
     return {}, None, [args.input], [args.out], args.out, {}
 
 
@@ -207,7 +201,9 @@ def _cmd_sample(args):
     dataset = data_model.load_dataset(args.input)
     smp = TripletSampler(dataset.scores(), config)
     triplets = smp.sample_batch(args.count)
-    write_triplets_csv(triplets, args.out)
+    data_model.write_csv(args.out, ("a", "p", "n", "pair_above", "ratio"), (
+        (t.a, t.p, t.n, "true" if t.pair_above else "false", t.ratio) for t in triplets
+    ))
     stats = {
         "proposed": smp.stats.proposed,
         "accepted": smp.stats.accepted,
@@ -238,34 +234,37 @@ def _cmd_train(args):
     dataset = data_model.load_dataset(args.input)
     params, log = trainer.train(dataset, config)
     encoder.save(params, args.model_out)
-    trainer.write_train_log_csv(log, args.log_out)
+    columns = [f.name for f in dataclasses.fields(trainer.WindowRecord)]
+    data_model.write_csv(args.log_out, columns, map(dataclasses.astuple, log.windows))
     cfg = dataclasses.asdict(config)
     return cfg, seed, [args.input], [args.model_out, args.log_out], args.model_out, {}
 
 
-def _cmd_embed(args):
+def _load_model_and_dataset(args):
     params = encoder.load(args.model)
     dataset = data_model.load_dataset(args.input)
     if dataset.d_in is not None and dataset.d_in != params.d_in:
         raise ConfigError(
             f"model expects {params.d_in} features, dataset has {dataset.d_in}"
         )
-    header = "id," + ",".join(f"phi{j}" for j in range(params.d_out))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        if len(dataset):
-            embeddings = encoder.forward(params, dataset.feature_matrix())
-            for record, phi in zip(dataset.records, embeddings):
-                values = ",".join(f"{float(v)!r}" for v in phi)
-                fh.write(f"{record.id},{values}\n")
+    return params, dataset
+
+
+def _cmd_embed(args):
+    params, dataset = _load_model_and_dataset(args)
+    embeddings = encoder.forward(params, dataset.feature_matrix()).tolist() if len(dataset) else []
+    header = ["id", *(f"phi{j}" for j in range(params.d_out))]
+    rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids(), embeddings))
+    data_model.write_csv(args.out, header, rows)
     return {}, None, [args.model, args.input], [args.out], args.out, {}
 
 
 def _cmd_rank(args):
-    params = encoder.load(args.model)
-    dataset = data_model.load_dataset(args.input)
+    params, dataset = _load_model_and_dataset(args)
     ranked = ranker.rank_collection(params, dataset)
-    ranker.write_ranked_csv(ranked, args.out)
+    data_model.write_csv(args.out, ("rank", "id", "score"), (
+        (rank, rec_id, score) for rank, (rec_id, score) in enumerate(ranked, start=1)
+    ))
     return {}, None, [args.model, args.input], [args.out], args.out, {}
 
 
@@ -275,16 +274,10 @@ def _cmd_eval(args):
             raise _UsageError(f"thresholds must lie strictly in (0, 1), got {t}")
     if list(args.thresholds) != sorted(set(args.thresholds)):
         raise _UsageError("thresholds must be strictly increasing")
-    params = encoder.load(args.model)
-    dataset = data_model.load_dataset(args.input)
-    if dataset.d_in is not None and dataset.d_in != params.d_in:
-        raise ConfigError(
-            f"model expects {params.d_in} features, dataset has {dataset.d_in}"
-        )
-    embeddings = encoder.forward(params, dataset.feature_matrix())
-    proj = np.linalg.norm(embeddings, axis=1)
+    params, dataset = _load_model_and_dataset(args)
+    proj = ranker.projection_score(encoder.forward(params, dataset.feature_matrix()))
     rows = ranker.pairwise_agreement(proj, dataset.scores(), args.thresholds)
-    ranker.write_agreement_csv(rows, args.out)
+    data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))
     cfg = {"thresholds": list(args.thresholds)}
     return cfg, None, [args.model, args.input], [args.out], args.out, {}
 
@@ -297,7 +290,11 @@ def _cmd_video(args):
     raw = video.score_sequence(params, features)
     smoothed = video.kalman_smooth(raw, kalman)
     peaks = video.detect_peaks(smoothed, peaks_cfg)
-    video.write_frame_csv(ids, raw, smoothed, peaks, args.out)
+    peak_set = set(peaks)
+    data_model.write_csv(args.out, ("frame", "raw_score", "smoothed_score", "is_peak"), (
+        (frame_id, r, s, int(i in peak_set))
+        for i, (frame_id, r, s) in enumerate(zip(ids, raw, smoothed))
+    ))
     cfg = {**dataclasses.asdict(kalman), **dataclasses.asdict(peaks_cfg)}
     return cfg, None, [args.model, args.frames], [args.out], args.out, {}
 

@@ -14,10 +14,13 @@ File format: one record per line, a single JSON object with keys "id"
 (string), "views" (integer), "faves" (integer), "features" (array of
 numbers), and optional "latent_score" (number in [0, 1], synthetic ground
 truth only). UTF-8, LF line endings.
+
+Every CSV output of the package is written by ``write_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -166,6 +169,34 @@ def _parse_line(line: str, line_number: int, *, require_counts: bool = True) -> 
     )
 
 
+def _read_records(path: str | Path, *, require_counts: bool = True):
+    """Yield ``(line_number, record)`` for every non-blank metadata line.
+
+    Records come back parsed but unvalidated, in file order.
+
+    Raises:
+        ParseError: A line is not a valid record object (carries the line
+            number).
+        FormatError: A line's feature length disagrees with the first
+            record's.
+    """
+    expected_len: int | None = None
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            record = _parse_line(line, line_number, require_counts=require_counts)
+            if expected_len is None:
+                expected_len = record.features.size
+            elif record.features.size != expected_len:
+                raise FormatError(
+                    f"line {line_number}: feature length {record.features.size} "
+                    f"!= {expected_len} established earlier"
+                )
+            yield line_number, record
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load a metadata file, rejecting records that violate field constraints.
 
@@ -179,35 +210,20 @@ def load_dataset(path: str | Path) -> Dataset:
         FormatError: A line's feature length disagrees with the first
             record's.
     """
-    path = Path(path)
     records: list[ImageRecord] = []
     seen_ids: set[str] = set()
-    expected_len: int | None = None
     rejected = 0
-
-    with path.open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_line(line, line_number)
-            if expected_len is None:
-                expected_len = record.features.size
-            elif record.features.size != expected_len:
-                raise FormatError(
-                    f"line {line_number}: feature length {record.features.size} "
-                    f"!= {expected_len} established earlier"
-                )
-            try:
-                validate_record(record)
-                if record.id in seen_ids:
-                    raise RecordError("id", f"duplicate id {record.id!r}")
-            except RecordError as exc:
-                rejected += 1
-                logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
-                continue
-            seen_ids.add(record.id)
-            records.append(record)
+    for line_number, record in _read_records(path):
+        try:
+            validate_record(record)
+            if record.id in seen_ids:
+                raise RecordError("id", f"duplicate id {record.id!r}")
+        except RecordError as exc:
+            rejected += 1
+            logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
+            continue
+        seen_ids.add(record.id)
+        records.append(record)
 
     if rejected:
         logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
@@ -261,9 +277,14 @@ def score_histogram(dataset: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray
     return edges, counts
 
 
-def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str | Path) -> None:
-    """Write a histogram as CSV with header ``bin_lo,bin_hi,count``."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_lo,bin_hi,count\n")
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            fh.write(f"{float(lo)!r},{float(hi)!r},{int(count)}\n")
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write a header row and data rows as CSV with LF line ends.
+
+    Fields are quoted per RFC 4180 only when they hold a comma, a quote or
+    a line break. Numbers are written by ``str``, which for a float is the
+    shortest text that parses back to the identical value.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

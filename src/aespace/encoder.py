@@ -149,8 +149,8 @@ def load(path: str | Path) -> EncoderParams:
 
     Raises:
         ModelVersionError: The file declares an unsupported version.
-        ModelFormatError: The file is not valid JSON or its shapes do not
-            chain.
+        ModelFormatError: The file is not valid JSON, its shapes do not
+            chain, or a weight or bias is NaN or infinite.
     """
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
@@ -179,4 +179,6 @@ def load(path: str | Path) -> EncoderParams:
     for b, w in zip(biases, weights):
         if b.shape != (w.shape[0],):
             raise ModelFormatError(f"model file {path}: bias shape mismatch")
+    if not all(np.all(np.isfinite(a)) for a in (*weights, *biases)):
+        raise ModelFormatError(f"model file {path}: non-finite weight or bias")
     return EncoderParams(layer_dims=layer_dims, weights=weights, biases=biases)

@@ -58,94 +58,62 @@ def _check_same_shape(*vectors):
         raise ShapeError(f"embedding shapes differ: {sorted(dims)}")
 
 
-def distance(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
-    """Euclidean distance between two embeddings."""
-    phi_i = np.asarray(phi_i, dtype=np.float64)
-    phi_j = np.asarray(phi_j, dtype=np.float64)
-    _check_same_shape(phi_i, phi_j)
-    return float(np.linalg.norm(phi_i - phi_j))
+def batch_loss(ea, ep, en, s_a, s_n, config: LossConfig):
+    """Per-triplet losses and exact gradients for a batch of triplets.
 
+    Row i of the (B, d) embedding arrays ``ea``, ``ep`` and ``en`` is one
+    triplet; ``s_a`` and ``s_n`` hold the anchor and negative scores.
 
-def triplet_loss(phi_a, phi_p, phi_n, m: float) -> float:
-    """Hinge on squared distances: [m + |a-p|^2 - |a-n|^2]+."""
-    phi_a = np.asarray(phi_a, dtype=np.float64)
-    phi_p = np.asarray(phi_p, dtype=np.float64)
-    phi_n = np.asarray(phi_n, dtype=np.float64)
-    _check_same_shape(phi_a, phi_p, phi_n)
-    d_ap = float(np.sum((phi_a - phi_p) ** 2))
-    d_an = float(np.sum((phi_a - phi_n) ** 2))
-    return max(0.0, m + d_ap - d_an)
+    Returns:
+        (l_e, l_d, grad_a, grad_p, grad_n): the two loss terms per row
+        (length B) and the gradient rows wrt each embedding array.
 
-
-def directional_loss(
-    phi_a, phi_n, score_a: float, score_n: float, md: float, literal: bool = False
-) -> float:
-    """Norm-ordering term between the anchor and negative embeddings.
-
-    See the module docstring for the hinge and literal variants. Returns 0
-    on a score tie in both forms.
+    Raises:
+        ShapeError: The three embedding arrays differ in shape.
     """
-    phi_a = np.asarray(phi_a, dtype=np.float64)
-    phi_n = np.asarray(phi_n, dtype=np.float64)
-    _check_same_shape(phi_a, phi_n)
-    sign = float(np.sign(score_n - score_a))
-    if sign == 0.0:
-        return 0.0
-    norm_a = float(np.linalg.norm(phi_a))
-    norm_n = float(np.linalg.norm(phi_n))
-    if literal:
-        return sign * max(0.0, norm_a - norm_n + md)
-    return max(0.0, md + sign * (norm_a - norm_n))
+    _check_same_shape(ea, ep, en)
+    dap = ea - ep
+    dan = ea - en
+    e_arg = config.margin_m + np.sum(dap * dap, axis=1) - np.sum(dan * dan, axis=1)
+    l_e = np.maximum(e_arg, 0.0)
+    act_e = (e_arg > 0.0)[:, None]
+    grad_a = np.where(act_e, 2.0 * (en - ep), 0.0)
+    grad_p = np.where(act_e, -2.0 * dap, 0.0)
+    grad_n = np.where(act_e, 2.0 * dan, 0.0)
+
+    l_d = np.zeros_like(l_e)
+    if config.directional_enabled:
+        sign = np.sign(s_n - s_a)
+        norm_a = np.linalg.norm(ea, axis=1)
+        norm_n = np.linalg.norm(en, axis=1)
+        if config.literal_sign_form:
+            arg = norm_a - norm_n + config.margin_md
+            l_d = np.where(sign != 0.0, sign * np.maximum(arg, 0.0), 0.0)
+        else:
+            arg = config.margin_md + sign * (norm_a - norm_n)
+            l_d = np.where(sign != 0.0, np.maximum(arg, 0.0), 0.0)
+        # d|x|/dx = x/|x|, zero vector at the origin
+        unit_a = np.divide(ea, norm_a[:, None], out=np.zeros_like(ea), where=norm_a[:, None] > 0)
+        unit_n = np.divide(en, norm_n[:, None], out=np.zeros_like(en), where=norm_n[:, None] > 0)
+        coeff = (sign * ((sign != 0.0) & (arg > 0.0)))[:, None]
+        grad_a = grad_a + coeff * unit_a
+        grad_n = grad_n - coeff * unit_n
+    return l_e, l_d, grad_a, grad_p, grad_n
 
 
 def directional_triplet_loss(
     phi_a, phi_p, phi_n, score_a: float, score_n: float, config: LossConfig
 ) -> TripletLossResult:
-    """Combined loss and its exact gradients wrt each embedding."""
-    phi_a = np.asarray(phi_a, dtype=np.float64)
-    phi_p = np.asarray(phi_p, dtype=np.float64)
-    phi_n = np.asarray(phi_n, dtype=np.float64)
-    _check_same_shape(phi_a, phi_p, phi_n)
-
-    d_ap = float(np.sum((phi_a - phi_p) ** 2))
-    d_an = float(np.sum((phi_a - phi_n) ** 2))
-    e_arg = config.margin_m + d_ap - d_an
-    l_e = max(0.0, e_arg)
-
-    grad_a = np.zeros_like(phi_a)
-    grad_p = np.zeros_like(phi_p)
-    grad_n = np.zeros_like(phi_n)
-    if e_arg > 0.0:
-        grad_a += 2.0 * (phi_n - phi_p)
-        grad_p += -2.0 * (phi_a - phi_p)
-        grad_n += 2.0 * (phi_a - phi_n)
-
-    l_d = 0.0
-    if config.directional_enabled:
-        sign = float(np.sign(score_n - score_a))
-        if sign != 0.0:
-            norm_a = float(np.linalg.norm(phi_a))
-            norm_n = float(np.linalg.norm(phi_n))
-            if config.literal_sign_form:
-                arg = norm_a - norm_n + config.margin_md
-                l_d = sign * max(0.0, arg)
-                active = arg > 0.0
-            else:
-                arg = config.margin_md + sign * (norm_a - norm_n)
-                l_d = max(0.0, arg)
-                active = arg > 0.0
-            if active:
-                # d|x|/dx = x/|x|, zero vector at the origin
-                if norm_a > 0.0:
-                    grad_a += sign * phi_a / norm_a
-                if norm_n > 0.0:
-                    grad_n += -sign * phi_n / norm_n
-
+    """Combined loss of one triplet and its exact gradients wrt each embedding."""
+    rows = [np.asarray(v, dtype=np.float64).reshape(1, -1) for v in (phi_a, phi_p, phi_n)]
+    l_e, l_d, grad_a, grad_p, grad_n = batch_loss(
+        *rows, np.array([score_a]), np.array([score_n]), config
+    )
     return TripletLossResult(
-        l_e=l_e,
-        l_d=l_d,
-        total=l_e + l_d,
-        grad_a=grad_a,
-        grad_p=grad_p,
-        grad_n=grad_n,
+        l_e=float(l_e[0]),
+        l_d=float(l_d[0]),
+        total=float(l_e[0]) + float(l_d[0]),
+        grad_a=grad_a[0],
+        grad_p=grad_p[0],
+        grad_n=grad_n[0],
     )

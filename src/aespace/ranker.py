@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import encoder
 from .data_model import Dataset
 from .errors import ConfigError, InputError
+
 
 @dataclass(frozen=True)
 class AgreementRow:
@@ -30,9 +30,13 @@ class AgreementRow:
     agreement: float
 
 
-def projection_score(phi) -> float:
-    """Euclidean norm of an embedding; the 1-D scale value."""
-    return float(np.linalg.norm(np.asarray(phi, dtype=np.float64)))
+def projection_score(phi):
+    """Euclidean norm of an embedding, or of each row of an embedding batch.
+
+    This is the 1-D scale value: a float for one embedding (1-D input), an
+    array of one value per row for a batch (2-D input).
+    """
+    return np.linalg.norm(np.asarray(phi, dtype=np.float64), axis=-1)
 
 
 def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tuple[str, float]]:
@@ -50,8 +54,7 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
         return []
     if dataset.d_in != params.d_in:
         raise ConfigError(f"dataset d_in={dataset.d_in} but encoder expects {params.d_in}")
-    phis = encoder.forward(params, dataset.feature_matrix())
-    norms = np.linalg.norm(phis, axis=1)
+    norms = projection_score(encoder.forward(params, dataset.feature_matrix()))
     order = sorted(range(len(dataset)), key=lambda i: (-norms[i], dataset.records[i].id))
     return [(dataset.records[i].id, float(norms[i])) for i in order]
 
@@ -114,19 +117,3 @@ def kendall_tau(order_a: list[str], order_b: list[str]) -> float:
     iu, ju = np.triu_indices(n, k=1)
     s = int(diff_sign[iu, ju].sum())
     return s / (n * (n - 1) / 2)
-
-
-def write_ranked_csv(ranked: list[tuple[str, float]], path: str | Path) -> None:
-    """Write a ranking as CSV with header ``rank,id,score`` (rank from 1)."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank,id,score\n")
-        for rank, (rec_id, score) in enumerate(ranked, start=1):
-            fh.write(f"{rank},{rec_id},{float(score)!r}\n")
-
-
-def write_agreement_csv(rows: list[AgreementRow], path: str | Path) -> None:
-    """Write an agreement table as CSV with header ``delta,pairs,agreement``."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("delta,pairs,agreement\n")
-        for row in rows:
-            fh.write(f"{float(row.delta)!r},{row.pairs},{float(row.agreement)!r}\n")

@@ -19,9 +19,7 @@ of how many triplets each call requests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -174,11 +172,6 @@ class TripletSampler:
         ratio = np.concatenate([r[2] for r in rows])
         return idx[:, 0], idx[:, 1], idx[:, 2], above, ratio
 
-    def sample_triplet(self) -> Triplet:
-        """Draw one accepted triplet."""
-        a, p, n, above, ratio = self.collect_indices(1)
-        return Triplet(int(a[0]), int(p[0]), int(n[0]), bool(above[0]), float(ratio[0]))
-
     def sample_batch(self, k: int) -> list[Triplet]:
         """Draw ``k`` accepted triplets in stream order."""
         a, p, n, above, ratio = self.collect_indices(k)
@@ -186,13 +179,6 @@ class TripletSampler:
             Triplet(int(a[i]), int(p[i]), int(n[i]), bool(above[i]), float(ratio[i]))
             for i in range(k)
         ]
-
-
-def balance_fraction(triplets: list[Triplet]) -> float:
-    """Fraction of triplets whose pair reference scores above the negative."""
-    if not triplets:
-        raise EmptyInputError("balance_fraction needs at least one triplet")
-    return sum(t.pair_above for t in triplets) / len(triplets)
 
 
 def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:
@@ -204,28 +190,3 @@ def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:
     if stats.proposed <= 0:
         raise EmptyInputError("estimate_cardinality needs at least one proposal")
     return stats.acceptance_rate * n_images * (n_images - 1) * (n_images - 2)
-
-
-def write_triplets_csv(triplets: list[Triplet], path: str | Path) -> None:
-    """Dump triplets as CSV with header ``a,p,n,pair_above,ratio``."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("a,p,n,pair_above,ratio\n")
-        for t in triplets:
-            flag = "true" if t.pair_above else "false"
-            fh.write(f"{t.a},{t.p},{t.n},{flag},{float(t.ratio)!r}\n")
-
-
-def write_run_sidecar(config: SamplerConfig, stats: SamplerStats, path: str | Path) -> None:
-    """Record the sampling run (window, seed, pair reference, acceptance rate)."""
-    payload = {
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "seed": config.seed,
-        "pair_ref": config.pair_ref,
-        "proposed": stats.proposed,
-        "accepted": stats.accepted,
-        "acceptance_rate": stats.acceptance_rate,
-    }
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import encoder
 from .data_model import Dataset
 from .errors import ConfigError, DivergenceError
-from .loss import LossConfig
+from .loss import LossConfig, batch_loss
 from .sampler import SamplerConfig, TripletSampler
 
 
@@ -87,40 +86,6 @@ def derive_seeds(seed: int) -> tuple[int, int]:
     """(encoder-init seed, sampler seed) derived from the master seed."""
     state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     return int(state[0]), int(state[1])
-
-
-def _batch_loss_grads(ea, ep, en, s_a, s_n, cfg: LossConfig):
-    """Vectorized per-row losses and gradients wrt the three embedding rows.
-
-    Row i reproduces ``loss.directional_triplet_loss`` on triplet i exactly.
-    """
-    dap = ea - ep
-    dan = ea - en
-    e_arg = cfg.margin_m + np.sum(dap * dap, axis=1) - np.sum(dan * dan, axis=1)
-    le = np.maximum(e_arg, 0.0)
-    act_e = (e_arg > 0.0)[:, None]
-    g_ea = np.where(act_e, 2.0 * (en - ep), 0.0)
-    g_ep = np.where(act_e, -2.0 * dap, 0.0)
-    g_en = np.where(act_e, 2.0 * dan, 0.0)
-
-    ld = np.zeros_like(le)
-    if cfg.directional_enabled:
-        sign = np.sign(s_n - s_a)
-        norm_a = np.linalg.norm(ea, axis=1)
-        norm_n = np.linalg.norm(en, axis=1)
-        if cfg.literal_sign_form:
-            arg = norm_a - norm_n + cfg.margin_md
-            ld = np.where(sign != 0.0, sign * np.maximum(arg, 0.0), 0.0)
-        else:
-            arg = cfg.margin_md + sign * (norm_a - norm_n)
-            ld = np.where(sign != 0.0, np.maximum(arg, 0.0), 0.0)
-        active = (sign != 0.0) & (arg > 0.0)
-        unit_a = np.divide(ea, norm_a[:, None], out=np.zeros_like(ea), where=norm_a[:, None] > 0)
-        unit_n = np.divide(en, norm_n[:, None], out=np.zeros_like(en), where=norm_n[:, None] > 0)
-        coeff = (sign * active)[:, None]
-        g_ea = g_ea + coeff * unit_a
-        g_en = g_en - coeff * unit_n
-    return le, ld, g_ea, g_ep, g_en
 
 
 class _PlateauSchedule:
@@ -198,27 +163,21 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
         win_proposed += samp.stats.proposed - proposed_before
         win_accepted += samp.stats.accepted - accepted_before
 
-        batch_a = features[a_idx]
-        batch_p = features[p_idx]
-        batch_n = features[n_idx]
-        emb_a = encoder.forward(params, batch_a)
-        emb_p = encoder.forward(params, batch_p)
-        emb_n = encoder.forward(params, batch_n)
-
-        le, ld, g_ea, g_ep, g_en = _batch_loss_grads(
+        # a, p and n rows embedded together: one forward and one backward per step
+        batch = features[np.concatenate((a_idx, p_idx, n_idx))]
+        emb_a, emb_p, emb_n = np.split(encoder.forward(params, batch), 3)
+        le, ld, g_a, g_p, g_n = batch_loss(
             emb_a, emb_p, emb_n, scores[a_idx], scores[n_idx], config.loss
         )
         mean_total = float(np.mean(le + ld))
         if not np.isfinite(mean_total):
             raise DivergenceError(step, lr)
 
-        grads_a, _ = encoder.backward(params, batch_a, g_ea)
-        grads_p, _ = encoder.backward(params, batch_p, g_ep)
-        grads_n, _ = encoder.backward(params, batch_n, g_en)
+        grads, _ = encoder.backward(params, batch, np.concatenate((g_a, g_p, g_n)))
         inv_b = 1.0 / config.batch_size
         for k in range(len(params.weights)):
-            dw = (grads_a.weights[k] + grads_p.weights[k] + grads_n.weights[k]) * inv_b
-            db = (grads_a.biases[k] + grads_p.biases[k] + grads_n.biases[k]) * inv_b
+            dw = grads.weights[k] * inv_b
+            db = grads.biases[k] * inv_b
             if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
                 raise DivergenceError(step, lr)
             params.weights[k] -= lr * dw
@@ -236,14 +195,3 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     if win_steps:
         flush_window(step)
     return params, log
-
-
-def write_train_log_csv(log: TrainLog, path: str | Path) -> None:
-    """Write window records as CSV ``step,mean_loss,mean_le,mean_ld,lr,acceptance_rate``."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,mean_loss,mean_le,mean_ld,lr,acceptance_rate\n")
-        for w in log.windows:
-            fh.write(
-                f"{w.step},{float(w.mean_loss)!r},{float(w.mean_le)!r},"
-                f"{float(w.mean_ld)!r},{float(w.lr)!r},{float(w.acceptance_rate)!r}\n"
-            )

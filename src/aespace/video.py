@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encoder
-from .data_model import _parse_line
-from .errors import ConfigError, EmptyInputError, FormatError, ShapeError
+from . import encoder, ranker
+from .data_model import _read_records
+from .errors import ConfigError, EmptyInputError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
         return []
     if frames.ndim != 2 or frames.shape[1] != params.d_in:
         raise ShapeError(f"frame array shape {frames.shape} incompatible with d_in={params.d_in}")
-    phis = encoder.forward(params, frames)
-    return [float(v) for v in np.linalg.norm(phis, axis=1)]
+    return ranker.projection_score(encoder.forward(params, frames)).tolist()
 
 
 def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:
@@ -182,37 +181,11 @@ def load_frames(path: str | Path) -> tuple[list[str], np.ndarray]:
         ParseError: A line is structurally invalid.
         FormatError: Feature lengths are inconsistent.
     """
-    path = Path(path)
     ids: list[str] = []
     features: list[np.ndarray] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_line(line, line_number, require_counts=False)
-            if features and record.features.size != features[0].size:
-                raise FormatError(
-                    f"line {line_number}: feature length {record.features.size} "
-                    f"!= {features[0].size} established earlier"
-                )
-            ids.append(record.id)
-            features.append(record.features)
+    for _, record in _read_records(path, require_counts=False):
+        ids.append(record.id)
+        features.append(record.features)
     if not features:
         return [], np.empty((0, 0))
     return ids, np.stack(features)
-
-
-def write_frame_csv(
-    ids: list[str],
-    raw_scores: list[float],
-    smoothed_scores: list[float],
-    peaks: list[int],
-    path: str | Path,
-) -> None:
-    """Write per-frame results as CSV ``frame,raw_score,smoothed_score,is_peak``."""
-    peak_set = set(peaks)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame,raw_score,smoothed_score,is_peak\n")
-        for i, (frame_id, raw, smooth) in enumerate(zip(ids, raw_scores, smoothed_scores)):
-            fh.write(f"{frame_id},{float(raw)!r},{float(smooth)!r},{int(i in peak_set)}\n")

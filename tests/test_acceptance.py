@@ -2,10 +2,10 @@
 
 Each test prints a single ``criterion N: PASS/FAIL`` line (visible under
 ``pytest -s``); the pytest verdict for ``test_criterion_N`` mirrors it.
-The heavyweight fixtures are module-scoped, so each is trained once per
-run of this module and shared: ``benchmark_model`` and ``ablation_model``
-on the n = 2000 benchmark, and ``mirrored_model`` and
-``mirrored_ablation_model`` on its score-reversed twin.
+The heavyweight fixtures are trained once and shared: ``benchmark_model``
+(session-scoped, from ``conftest.py``) and ``ablation_model`` on the
+n = 2000 benchmark, and ``mirrored_model`` and ``mirrored_ablation_model``
+on its score-reversed twin.
 """
 
 import dataclasses
@@ -15,13 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from aespace import cli, data_model, encoder, ranker, synth, trainer, video
+from aespace import cli, data_model, encoder, ranker, synth, video
 from aespace.loss import LossConfig, directional_triplet_loss
 from aespace.sampler import SamplerConfig, TripletSampler, estimate_cardinality
-from aespace.trainer import TrainConfig
 from aespace.video import KalmanConfig, PeakConfig
 
-BENCH_SEED = 7
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
@@ -33,27 +31,7 @@ def report(num, description, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def benchmark_dataset():
-    return synth.generate(
-        synth.SynthConfig(n=2000, d_in=16, noise_sigma=0.05, seed=BENCH_SEED)
-    )
-
-
-def train_benchmark(dataset, directional):
-    config = TrainConfig(
-        max_steps=30000, seed=BENCH_SEED,
-        loss=LossConfig(directional_enabled=directional),
-    )
-    return trainer.train(dataset, config)
-
-
-@pytest.fixture(scope="module")
-def benchmark_model(benchmark_dataset):
-    return train_benchmark(benchmark_dataset, directional=True)
-
-
-@pytest.fixture(scope="module")
-def ablation_model(benchmark_dataset):
+def ablation_model(benchmark_dataset, train_benchmark):
     return train_benchmark(benchmark_dataset, directional=False)
 
 
@@ -73,18 +51,18 @@ def mirrored_dataset(benchmark_dataset):
 
 
 @pytest.fixture(scope="module")
-def mirrored_model(mirrored_dataset):
+def mirrored_model(mirrored_dataset, train_benchmark):
     return train_benchmark(mirrored_dataset, directional=True)
 
 
 @pytest.fixture(scope="module")
-def mirrored_ablation_model(mirrored_dataset):
+def mirrored_ablation_model(mirrored_dataset, train_benchmark):
     return train_benchmark(mirrored_dataset, directional=False)
 
 
 def agreement_rows(params, dataset):
     embeddings = encoder.forward(params, dataset.feature_matrix())
-    proj = np.linalg.norm(embeddings, axis=1)
+    proj = ranker.projection_score(embeddings)
     latent = np.array([r.latent_score for r in dataset.records])
     return ranker.pairwise_agreement(proj, latent, THRESHOLDS)
 
@@ -216,7 +194,7 @@ def test_criterion_4_gradient_oracle():
 def test_criterion_5_ordering_recovery(benchmark_dataset, benchmark_model):
     params, _ = benchmark_model
     embeddings = encoder.forward(params, benchmark_dataset.feature_matrix())
-    proj = np.linalg.norm(embeddings, axis=1)
+    proj = ranker.projection_score(embeddings)
     latent = np.array([r.latent_score for r in benchmark_dataset.records])
     ids = [r.id for r in benchmark_dataset.records]
 

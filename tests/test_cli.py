@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -316,3 +317,47 @@ class TestOutputs:
         assert sidecar["seed"] == 5
         assert len(sidecar["mixing_matrix"]) == 4
         assert all(len(row) == 5 for row in sidecar["mixing_matrix"])
+
+
+class TestBadArtifacts:
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rank_rejects_non_finite_model(self, workspace, tmp_path, capsys, bad):
+        payload = json.loads(workspace["model"].read_text())
+        payload["weights"][1][3] = float(bad)
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(payload))
+        assert bad in model.read_text()
+        out = tmp_path / "rank.csv"
+        code = run("rank", "--model", model, "--input", workspace["dataset"], "--out", out)
+        assert code == 1
+        assert "non-finite weight or bias" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ids_that_need_quoting_parse_back(self, tmp_path):
+        ids = ["a,b", 'q"x', "line\nbreak", "plain"]
+        data = tmp_path / "d.jsonl"
+        with open(data, "w", encoding="utf-8") as fh:
+            for i, rec_id in enumerate(ids):
+                fh.write(json.dumps({"id": rec_id, "views": 1000, "faves": 10 ** i,
+                                     "features": [float(i), 1.0]}) + "\n")
+        model = tmp_path / "m.json"
+        encoder.save(encoder.init([2, 3], seed=1), model)
+
+        def rows(command, *flags):
+            out = tmp_path / f"{command}.csv"
+            assert run(command, *flags, "--out", out) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
+
+        score = rows("score", "--input", data)
+        assert [r[0] for r in score[1:]] == ids
+        assert all(len(r) == 2 for r in score)
+        embed = rows("embed", "--model", model, "--input", data)
+        assert [r[0] for r in embed[1:]] == ids
+        assert all(len(r) == 4 for r in embed)
+        rank = rows("rank", "--model", model, "--input", data)
+        assert sorted(r[1] for r in rank[1:]) == sorted(ids)
+        assert all(len(r) == 3 for r in rank)
+        frames = rows("video", "--model", model, "--frames", data)
+        assert [r[0] for r in frames[1:]] == ids
+        assert all(len(r) == 4 for r in frames)

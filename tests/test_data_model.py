@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from aespace.data_model import (
     load_dataset,
     save_dataset,
     score_histogram,
-    write_histogram_csv,
+    write_csv,
 )
 from aespace.errors import EmptyInputError, FormatError, ParseError, RecordError
 
@@ -209,8 +210,22 @@ class TestScoreHistogram:
         ds = Dataset(records=[make_record("a", 1024, 2), make_record("b", 1024, 512)], d_in=2)
         edges, counts = score_histogram(ds, 2)
         path = tmp_path / "h.csv"
-        write_histogram_csv(edges, counts, path)
+        rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+        write_csv(path, ("bin_lo", "bin_hi", "count"), rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert lines[1] == "0.0,0.5,1"
         assert lines[2] == "0.5,1.0,1"
+
+
+class TestWriteCsv:
+    def test_quotes_only_what_needs_it_and_parses_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [("plain", 2.5, 7), ("a,b", 0.1, 3), ('q"x', float("nan"), -1), ("line\nbreak", 1e-300, 0)]
+        write_csv(path, ("id", "x", "n"), rows)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines()[:4] == ["id,x,n", "plain,2.5,7", '"a,b",0.1,3', '"q""x",nan,-1']
+        assert "\r" not in text
+        with open(path, newline="", encoding="utf-8") as fh:
+            back = list(csv.reader(fh))
+        assert back == [["id", "x", "n"]] + [[r[0], repr(r[1]), str(r[2])] for r in rows]

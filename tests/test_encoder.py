@@ -265,3 +265,15 @@ class TestSaveLoad:
         path.write_text('{"version": 1, "layer_dims": [2, 2], "weights": [[1.0]], "biases": [[0,0]]}')
         with pytest.raises(ModelFormatError):
             encoder.load(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    def test_non_finite_rejected(self, tmp_path, part, value):
+        params = encoder.init([2, 3, 2], seed=0)
+        path = tmp_path / "m.json"
+        encoder.save(params, path)
+        payload = json.loads(path.read_text())
+        payload[part][1][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError):
+            encoder.load(path)

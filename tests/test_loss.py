@@ -1,65 +1,115 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import ortho_group
 
 from aespace.errors import ShapeError
-from aespace.loss import (
-    LossConfig,
-    directional_loss,
-    directional_triplet_loss,
-    distance,
-    triplet_loss,
-)
+from aespace.loss import LossConfig, batch_loss, directional_triplet_loss
+
+
+def oracle_loss(phi_a, phi_p, phi_n, s_a, s_n, config):
+    """Scalar reference for one triplet: (l_e, l_d, grad_a, grad_p, grad_n).
+
+    Written term by term from the definitions in the ``loss`` module
+    docstring, independently of the batched implementation.
+    """
+    d_ap = float(np.sum((phi_a - phi_p) ** 2))
+    d_an = float(np.sum((phi_a - phi_n) ** 2))
+    e_arg = config.margin_m + d_ap - d_an
+    l_e = max(0.0, e_arg)
+
+    grad_a = np.zeros_like(phi_a)
+    grad_p = np.zeros_like(phi_p)
+    grad_n = np.zeros_like(phi_n)
+    if e_arg > 0.0:
+        grad_a += 2.0 * (phi_n - phi_p)
+        grad_p += -2.0 * (phi_a - phi_p)
+        grad_n += 2.0 * (phi_a - phi_n)
+
+    l_d = 0.0
+    if config.directional_enabled:
+        sign = float(np.sign(s_n - s_a))
+        if sign != 0.0:
+            norm_a = float(np.linalg.norm(phi_a))
+            norm_n = float(np.linalg.norm(phi_n))
+            if config.literal_sign_form:
+                arg = norm_a - norm_n + config.margin_md
+                l_d = sign * max(0.0, arg)
+            else:
+                arg = config.margin_md + sign * (norm_a - norm_n)
+                l_d = max(0.0, arg)
+            if arg > 0.0:
+                if norm_a > 0.0:
+                    grad_a += sign * phi_a / norm_a
+                if norm_n > 0.0:
+                    grad_n += -sign * phi_n / norm_n
+    return l_e, l_d, grad_a, grad_p, grad_n
 
 
 def total_loss(phi_a, phi_p, phi_n, s_a, s_n, config):
     return directional_triplet_loss(phi_a, phi_p, phi_n, s_a, s_n, config).total
 
 
+def squared_distance(phi_i, phi_j):
+    # with a = n and no margin, l_e = [|a - p|^2 - 0]+ = |a - p|^2
+    return directional_triplet_loss(phi_i, phi_j, phi_i, 0.5, 0.5, LossConfig(margin_m=0.0)).l_e
+
+
+def triplet_term(phi_a, phi_p, phi_n, m):
+    return directional_triplet_loss(phi_a, phi_p, phi_n, 0.5, 0.5, LossConfig(margin_m=m)).l_e
+
+
+def directional_term(phi_a, phi_n, s_a, s_n, md, literal):
+    config = LossConfig(margin_md=md, literal_sign_form=literal)
+    return directional_triplet_loss(phi_a, phi_a, phi_n, s_a, s_n, config).l_d
+
+
 class TestDistance:
     def test_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert distance(v, v) == 0.0
+        assert squared_distance(v, v) == 0.0
 
     def test_unit(self):
-        assert distance(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 1.0
+        assert squared_distance(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 1.0
 
     def test_three_four_five(self):
-        assert distance(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == 5.0
+        assert squared_distance(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == 25.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(2, 6))
-        assert distance(a, b) == distance(b, a)
+        assert squared_distance(a, b) == squared_distance(b, a)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            distance(np.zeros(2), np.zeros(3))
+            squared_distance(np.zeros(2), np.zeros(3))
 
 
 class TestTripletLoss:
     def test_all_equal(self):
         v = np.array([0.3, 0.7])
-        assert triplet_loss(v, v, v, 0.2) == pytest.approx(0.2)
+        assert triplet_term(v, v, v, 0.2) == pytest.approx(0.2)
 
     def test_negative_far(self):
         one = np.array([1.0, 0.0])
         zero = np.array([0.0, 0.0])
-        assert triplet_loss(one, one, zero, 0.2) == 0.0
+        assert triplet_term(one, one, zero, 0.2) == 0.0
 
     def test_equidistant(self):
         zero = np.array([0.0, 0.0])
         one = np.array([1.0, 0.0])
-        assert triplet_loss(zero, one, one, 0.2) == pytest.approx(0.2)
+        assert triplet_term(zero, one, one, 0.2) == pytest.approx(0.2)
 
     def test_non_negative_and_inactive_region(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             a, p, n = rng.normal(size=(3, 4))
             m = float(rng.uniform(0.01, 1.0))
-            val = triplet_loss(a, p, n, m)
+            val = triplet_term(a, p, n, m)
             assert val >= 0.0
-            if distance(a, n) ** 2 >= distance(a, p) ** 2 + m:
+            if np.sum((a - n) ** 2) >= np.sum((a - p) ** 2) + m:
                 assert val == 0.0
 
 
@@ -68,24 +118,24 @@ class TestDirectionalLoss:
     N = np.array([0.5, 0.0])
 
     def test_negative_scored_higher(self):
-        assert directional_loss(self.A, self.N, 0.2, 0.8, 0.1, False) == pytest.approx(0.6)
-        assert directional_loss(self.A, self.N, 0.2, 0.8, 0.1, True) == pytest.approx(0.6)
+        assert directional_term(self.A, self.N, 0.2, 0.8, 0.1, False) == pytest.approx(0.6)
+        assert directional_term(self.A, self.N, 0.2, 0.8, 0.1, True) == pytest.approx(0.6)
 
     def test_score_tie(self):
-        assert directional_loss(self.A, self.N, 0.5, 0.5, 0.1, False) == 0.0
-        assert directional_loss(self.A, self.N, 0.5, 0.5, 0.1, True) == 0.0
+        assert directional_term(self.A, self.N, 0.5, 0.5, 0.1, False) == 0.0
+        assert directional_term(self.A, self.N, 0.5, 0.5, 0.1, True) == 0.0
 
     def test_anchor_scored_higher(self):
-        assert directional_loss(self.A, self.N, 0.8, 0.2, 0.1, False) == 0.0
+        assert directional_term(self.A, self.N, 0.8, 0.2, 0.1, False) == 0.0
         # printed form goes negative here: sign is -1 and the hinge is active
-        assert directional_loss(self.A, self.N, 0.8, 0.2, 0.1, True) == pytest.approx(-0.6)
+        assert directional_term(self.A, self.N, 0.8, 0.2, 0.1, True) == pytest.approx(-0.6)
 
     def test_hinge_form_non_negative(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             a, n = rng.normal(size=(2, 3))
             s_a, s_n = rng.uniform(size=2)
-            assert directional_loss(a, n, s_a, s_n, 0.1, False) >= 0.0
+            assert directional_term(a, n, s_a, s_n, 0.1, False) >= 0.0
 
     def test_zero_when_ordering_satisfied_by_margin(self):
         rng = np.random.default_rng(3)
@@ -98,7 +148,7 @@ class TestDirectionalLoss:
                 s_a > s_n and norm_a >= norm_n + md
             )
             if ordered:
-                assert directional_loss(a, n, s_a, s_n, md, False) == 0.0
+                assert directional_term(a, n, s_a, s_n, md, False) == 0.0
 
 
 class TestCombined:
@@ -128,7 +178,7 @@ class TestCombined:
             a, p, n = rng.normal(size=(3, 5))
             s_a, s_n = rng.uniform(size=2)
             res = directional_triplet_loss(a, p, n, s_a, s_n, cfg)
-            assert res.total == triplet_loss(a, p, n, cfg.margin_m)
+            assert res.total == oracle_loss(a, p, n, s_a, s_n, cfg)[0]
             assert res.l_d == 0.0
 
     def test_grad_p_untouched_by_directional_term(self):
@@ -161,16 +211,16 @@ class TestInvariances:
             a, p, n = rng.normal(size=(3, 6))
             shift = rng.normal(size=6)
             m = 0.2
-            assert triplet_loss(a + shift, p + shift, n + shift, m) == pytest.approx(
-                triplet_loss(a, p, n, m)
+            assert triplet_term(a + shift, p + shift, n + shift, m) == pytest.approx(
+                triplet_term(a, p, n, m)
             )
 
     def test_translation_moves_directional_term(self):
         a = np.array([1.0, 0.0])
         n = np.array([0.5, 0.0])
         shift = np.array([0.0, 10.0])
-        before = directional_loss(a, n, 0.2, 0.8, 0.1, False)
-        after = directional_loss(a + shift, n + shift, 0.2, 0.8, 0.1, False)
+        before = directional_term(a, n, 0.2, 0.8, 0.1, False)
+        after = directional_term(a + shift, n + shift, 0.2, 0.8, 0.1, False)
         assert before != after
 
     def test_rotation(self):
@@ -203,11 +253,7 @@ def numeric_grads(phi_a, phi_p, phi_n, s_a, s_n, config, h=1e-6):
 
 
 def near_kink(phi_a, phi_p, phi_n, s_a, s_n, config, tol=1e-4):
-    e_arg = (
-        config.margin_m
-        + distance(phi_a, phi_p) ** 2
-        - distance(phi_a, phi_n) ** 2
-    )
+    e_arg = config.margin_m + np.sum((phi_a - phi_p) ** 2) - np.sum((phi_a - phi_n) ** 2)
     sign = np.sign(s_n - s_a)
     if config.literal_sign_form:
         d_arg = np.linalg.norm(phi_a) - np.linalg.norm(phi_n) + config.margin_md
@@ -233,3 +279,44 @@ class TestGradientOracle:
                 scale = max(np.linalg.norm(exact), 1.0)
                 assert np.linalg.norm(exact - approx) / scale < 1e-5
             checked += 1
+
+
+@st.composite
+def triplet_batches(draw):
+    """Random batches with score ties, zero-norm rows and every loss form."""
+    rows = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 6))
+    values = st.floats(-3.0, 3.0, allow_subnormal=False)
+    ea, ep, en = draw(hnp.arrays(np.float64, (3, rows, dim), elements=values))
+    ea[draw(hnp.arrays(bool, rows))] = 0.0
+    en[draw(hnp.arrays(bool, rows))] = 0.0
+    # a coarse score grid makes ties between anchor and negative common
+    scores = hnp.arrays(np.float64, rows, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    config = LossConfig(
+        margin_m=draw(st.floats(0.0, 1.0)),
+        margin_md=draw(st.floats(0.0, 1.0)),
+        directional_enabled=draw(st.booleans()),
+        literal_sign_form=draw(st.booleans()),
+    )
+    return ea, ep, en, draw(scores), draw(scores), config
+
+
+class TestBatchedLoss:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(triplet_batches())
+    def test_matches_oracle_row_by_row(self, batch):
+        ea, ep, en, s_a, s_n, config = batch
+        le, ld, g_a, g_p, g_n = batch_loss(ea, ep, en, s_a, s_n, config)
+        for i in range(len(ea)):
+            ref = oracle_loss(ea[i], ep[i], en[i], s_a[i], s_n[i], config)
+            assert le[i] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
+            assert ld[i] == pytest.approx(ref[1], rel=1e-12, abs=1e-15)
+            for got, want in zip((g_a[i], g_p[i], g_n[i]), ref[2:]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_directional_disabled_zeroes_ld(self):
+        rng = np.random.default_rng(31)
+        cfg = LossConfig(directional_enabled=False)
+        ea, ep, en = rng.normal(size=(3, 10, 4))
+        _, ld, _, _, _ = batch_loss(ea, ep, en, rng.uniform(size=10), rng.uniform(size=10), cfg)
+        np.testing.assert_array_equal(ld, np.zeros(10))

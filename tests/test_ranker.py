@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau, ortho_group
 
-from aespace import encoder
-from aespace.data_model import Dataset, ImageRecord
+from aespace import cli, encoder
+from aespace.data_model import Dataset, ImageRecord, save_dataset
 from aespace.errors import ConfigError, InputError
 from aespace.ranker import (
-    AgreementRow,
     kendall_tau,
     pairwise_agreement,
     projection_score,
     rank_collection,
-    write_agreement_csv,
-    write_ranked_csv,
 )
 
 
@@ -46,6 +43,13 @@ class TestProjectionScore:
             phi = rng.normal(size=dim)
             q = ortho_group.rvs(dim, random_state=rng)
             assert abs(projection_score(q @ phi) - projection_score(phi)) < 1e-12
+
+    def test_batch_gives_one_norm_per_row(self):
+        phis = np.random.default_rng(41).normal(size=(5, 3))
+        norms = projection_score(phis)
+        assert norms.shape == (5,)
+        for phi, norm in zip(phis, norms):
+            assert norm == pytest.approx(projection_score(phi), rel=1e-15)
 
 
 class TestRankCollection:
@@ -181,18 +185,32 @@ class TestKendallTau:
             kendall_tau(["a"], ["a"])
 
 
+def run_on_identity_model(tmp_path, command, dataset, *flags):
+    """Run ``command`` with a 2-D identity encoder; returns the output's lines."""
+    model = tmp_path / "m.json"
+    data = tmp_path / "d.jsonl"
+    out = tmp_path / "out.csv"
+    encoder.save(identity_params(2), model)
+    save_dataset(dataset, data)
+    argv = [command, "--model", model, "--input", data, *flags, "--out", out]
+    assert cli.main([str(a) for a in argv]) == 0
+    return out.read_text().splitlines()
+
+
 class TestOutputs:
     def test_ranked_csv(self, tmp_path):
-        path = tmp_path / "r.csv"
-        write_ranked_csv([("b", 2.5), ("a", 1.0)], path)
-        lines = path.read_text().splitlines()
+        ds = make_dataset([[1.0, 0.0], [0.0, 2.5]], ids=["a", "b"])
+        lines = run_on_identity_model(tmp_path, "rank", ds)
         assert lines == ["rank,id,score", "1,b,2.5", "2,a,1.0"]
 
     def test_agreement_csv(self, tmp_path):
-        path = tmp_path / "a.csv"
-        rows = [AgreementRow(0.1, 10, 0.9), AgreementRow(0.2, 0, float("nan"))]
-        write_agreement_csv(rows, path)
-        lines = path.read_text().splitlines()
+        # scores 0 and 1/3: the one pair is ordered the same way by the
+        # norms, and no pair is more than 0.5 apart
+        ds = Dataset(records=[
+            ImageRecord("low", 1000, 1, np.array([1.0, 0.0])),
+            ImageRecord("high", 1000, 10, np.array([2.0, 0.0])),
+        ], d_in=2)
+        lines = run_on_identity_model(tmp_path, "eval", ds, "--thresholds", "0.1,0.5")
         assert lines[0] == "delta,pairs,agreement"
-        assert lines[1] == "0.1,10,0.9"
-        assert lines[2] == "0.2,0,nan"
+        assert lines[1] == "0.1,1,1.0"
+        assert lines[2] == "0.5,0,nan"

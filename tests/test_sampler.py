@@ -3,16 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from aespace import cli
+from aespace.data_model import save_dataset
 from aespace.errors import ConfigError, EmptyInputError, SamplerStarvationError
 from aespace.sampler import (
     SamplerConfig,
     SamplerStats,
-    Triplet,
     TripletSampler,
-    balance_fraction,
     estimate_cardinality,
-    write_run_sidecar,
-    write_triplets_csv,
 )
 from aespace.synth import SynthConfig, generate
 
@@ -96,7 +94,7 @@ class TestKnownFixtures:
     def test_equal_scores_starve(self):
         smp = TripletSampler([0.5, 0.5, 0.5], SamplerConfig(alpha=0.25, beta=0.75, max_proposals=2000, seed=2))
         with pytest.raises(SamplerStarvationError) as exc:
-            smp.sample_triplet()
+            smp.collect_indices(1)
         assert exc.value.acceptance_rate == 0.0
         assert exc.value.proposals >= 2000
 
@@ -160,8 +158,10 @@ class TestDeterminism:
         scores = generate(SynthConfig(n=50, d_in=2, seed=1)).scores()
         batched = TripletSampler(scores, SamplerConfig(seed=5)).sample_batch(60)
         single = TripletSampler(scores, SamplerConfig(seed=5))
-        one_by_one = [single.sample_triplet() for _ in range(60)]
-        assert [(t.a, t.p, t.n) for t in batched] == [(t.a, t.p, t.n) for t in one_by_one]
+        one_by_one = [single.collect_indices(1) for _ in range(60)]
+        assert [(t.a, t.p, t.n) for t in batched] == [
+            (int(a[0]), int(p[0]), int(n[0])) for a, p, n, _, _ in one_by_one
+        ]
 
 
 class TestStats:
@@ -178,23 +178,37 @@ class TestStats:
 
 
 class TestBalanceFraction:
+    # the share of accepted triplets whose pair reference lies above the
+    # negative, read from collect_indices' pair_above flags
+
     def test_all_above(self):
-        ts = [Triplet(0, 1, 2, True, 0.5)] * 4
-        assert balance_fraction(ts) == 1.0
+        # the close pair scores high and the only far record low
+        smp = TripletSampler([0.9, 0.88, 0.2], SamplerConfig(alpha=0.0, beta=0.5, seed=0))
+        _, _, _, above, _ = smp.collect_indices(200)
+        assert above.mean() == 1.0
 
     def test_half(self):
-        ts = [Triplet(0, 1, 2, True, 0.5), Triplet(0, 1, 2, False, 0.5)]
-        assert balance_fraction(ts) == 0.5
+        # two close pairs far apart: every accepted triplet takes one pair and
+        # a negative from the other, so half the accepted set lies above
+        scores = [0.1, 0.12, 0.8, 0.82]
+        smp = TripletSampler(scores, SamplerConfig(alpha=0.0, beta=0.5, seed=1))
+        a, p, n, above, _ = smp.collect_indices(2000)
+        accepted = set(zip(a.tolist(), p.tolist(), n.tolist(), above.tolist()))
+        assert {t[:3] for t in accepted} == enumerate_accepted(scores, 0.0, 0.5)
+        assert sum(t[3] for t in accepted) / len(accepted) == 0.5
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
-            balance_fraction([])
+    def test_empty_request_draws_nothing(self):
+        smp = TripletSampler([0.1, 0.5, 0.9], SamplerConfig())
+        arrays = smp.collect_indices(0)
+        assert [arr.size for arr in arrays] == [0] * 5
+        assert arrays[3].dtype == bool
+        assert smp.stats.proposed == 0
 
     def test_near_balanced_on_uniform_scores(self):
         scores = generate(SynthConfig(n=500, d_in=2, seed=8)).scores()
         smp = TripletSampler(scores, SamplerConfig(alpha=0.25, beta=0.75, seed=4))
-        frac = balance_fraction(smp.sample_batch(10_000))
-        assert 0.4 <= frac <= 0.6
+        _, _, _, above, _ = smp.collect_indices(10_000)
+        assert 0.4 <= above.mean() <= 0.6
 
 
 class TestCardinality:
@@ -227,24 +241,38 @@ class TestCardinality:
         assert abs(estimate - 7e12) / 7e12 < 0.05
 
 
+def run_sample(tmp_path, *flags):
+    """Run the sample subcommand on a small synthetic dataset; returns the CSV path."""
+    data = tmp_path / "d.jsonl"
+    save_dataset(generate(SynthConfig(n=40, d_in=2, seed=2)), data)
+    out = tmp_path / "t.csv"
+    assert cli.main(["sample", "--input", str(data), *flags, "--out", str(out)]) == 0
+    return out
+
+
 class TestOutputs:
     def test_triplets_csv(self, tmp_path):
-        ts = [Triplet(0, 1, 2, True, 0.5), Triplet(3, 4, 5, False, 0.25)]
-        path = tmp_path / "t.csv"
-        write_triplets_csv(ts, path)
-        lines = path.read_text().splitlines()
+        out = run_sample(tmp_path, "--count", "50", "--seed", "6")
+        lines = out.read_text().splitlines()
         assert lines[0] == "a,p,n,pair_above,ratio"
-        assert lines[1] == "0,1,2,true,0.5"
-        assert lines[2] == "3,4,5,false,0.25"
+        scores = generate(SynthConfig(n=40, d_in=2, seed=2)).scores()
+        expected = [
+            f"{t.a},{t.p},{t.n},{'true' if t.pair_above else 'false'},{t.ratio!r}"
+            for t in TripletSampler(scores, SamplerConfig(seed=6)).sample_batch(50)
+        ]
+        assert lines[1:] == expected
+        assert {line.split(",")[3] for line in lines[1:]} == {"true", "false"}
 
     def test_run_sidecar(self, tmp_path):
-        cfg = SamplerConfig(alpha=0.1, beta=0.9, seed=44, pair_ref="anchor")
-        stats = SamplerStats(proposed=200, accepted=50)
-        path = tmp_path / "s.json"
-        write_run_sidecar(cfg, stats, path)
-        payload = json.loads(path.read_text())
-        assert payload["alpha"] == 0.1
-        assert payload["beta"] == 0.9
-        assert payload["seed"] == 44
-        assert payload["pair_ref"] == "anchor"
-        assert payload["acceptance_rate"] == 0.25
+        out = run_sample(
+            tmp_path, "--count", "20", "--alpha", "0.1", "--beta", "0.9",
+            "--seed", "44", "--pair-ref", "anchor",
+        )
+        meta = json.loads(out.with_name("t.csv.meta.json").read_text())
+        assert meta["config"]["alpha"] == 0.1
+        assert meta["config"]["beta"] == 0.9
+        assert meta["config"]["seed"] == 44
+        assert meta["config"]["pair_ref"] == "anchor"
+        stats = meta["stats"]
+        assert stats["accepted"] == 20
+        assert stats["acceptance_rate"] == stats["accepted"] / stats["proposed"]

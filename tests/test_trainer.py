@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from aespace import encoder, trainer
-from aespace.data_model import Dataset, ImageRecord
+from aespace import cli, encoder
+from aespace.data_model import Dataset, ImageRecord, save_dataset
 from aespace.errors import ConfigError, DivergenceError
-from aespace.loss import LossConfig, directional_triplet_loss
+from aespace.loss import LossConfig
 from aespace.sampler import SamplerConfig
 from aespace.synth import SynthConfig, generate
-from aespace.trainer import TrainConfig, derive_seeds, train, write_train_log_csv
+from aespace.trainer import TrainConfig, derive_seeds, train
 
 
 def small_dataset(n=30, d_in=4, seed=1):
@@ -112,31 +114,24 @@ class TestGradientAveraging:
             np.testing.assert_allclose(ba, bb, rtol=1e-12, atol=1e-15)
 
 
-class TestBatchLossGrads:
-    def test_matches_scalar_path(self):
-        rng = np.random.default_rng(30)
-        for literal in (False, True):
-            cfg = LossConfig(literal_sign_form=literal)
-            ea, ep, en = rng.normal(size=(3, 40, 6))
-            s_a = rng.uniform(size=40)
-            s_n = rng.uniform(size=40)
-            le, ld, g_ea, g_ep, g_en = trainer._batch_loss_grads(ea, ep, en, s_a, s_n, cfg)
-            for i in range(40):
-                res = directional_triplet_loss(ea[i], ep[i], en[i], s_a[i], s_n[i], cfg)
-                assert le[i] == pytest.approx(res.l_e, rel=1e-12, abs=1e-15)
-                assert ld[i] == pytest.approx(res.l_d, rel=1e-12, abs=1e-15)
-                np.testing.assert_allclose(g_ea[i], res.grad_a, rtol=1e-12, atol=1e-15)
-                np.testing.assert_allclose(g_ep[i], res.grad_p, rtol=1e-12, atol=1e-15)
-                np.testing.assert_allclose(g_en[i], res.grad_n, rtol=1e-12, atol=1e-15)
+class TestSinglePassStep:
+    def test_one_forward_and_one_backward_per_step(self, monkeypatch):
+        calls = []
+        real_forward, real_backward = encoder.forward, encoder.backward
 
-    def test_directional_disabled_zeroes_ld(self):
-        rng = np.random.default_rng(31)
-        cfg = LossConfig(directional_enabled=False)
-        ea, ep, en = rng.normal(size=(3, 10, 4))
-        _, ld, _, _, _ = trainer._batch_loss_grads(
-            ea, ep, en, rng.uniform(size=10), rng.uniform(size=10), cfg
-        )
-        np.testing.assert_array_equal(ld, np.zeros(10))
+        def forward(params, x):
+            calls.append(("forward", len(x)))
+            return real_forward(params, x)
+
+        def backward(params, x, grad_phi):
+            calls.append(("backward", len(x), len(grad_phi)))
+            return real_backward(params, x, grad_phi)
+
+        monkeypatch.setattr(encoder, "forward", forward)
+        monkeypatch.setattr(encoder, "backward", backward)
+        _, log = train(small_dataset(), TrainConfig(max_steps=7, batch_size=5, seed=3))
+        assert log.windows[-1].step == 7
+        assert calls == [("forward", 15), ("backward", 15, 15)] * 7
 
 
 class TestSchedule:
@@ -199,16 +194,24 @@ class TestLog:
         assert all(w.mean_ld == 0.0 for w in log.windows)
 
     def test_csv_format(self, tmp_path):
+        # the train subcommand writes the log; its plateau window is the default 500
         ds = small_dataset()
-        _, log = train(ds, TrainConfig(max_steps=20, plateau_window=10, seed=2))
+        data = tmp_path / "d.jsonl"
+        save_dataset(ds, data)
         path = tmp_path / "log.csv"
-        write_train_log_csv(log, path)
+        assert cli.main([
+            "train", "--input", str(data), "--steps", "1200", "--batch", "8", "--seed", "2",
+            "--model-out", str(tmp_path / "m.json"), "--log-out", str(path),
+        ]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "step,mean_loss,mean_le,mean_ld,lr,acceptance_rate"
-        assert len(lines) == 3
+        assert len(lines) == 4
         first = lines[1].split(",")
-        assert first[0] == "10"
+        assert first[0] == "500"
         assert float(first[4]) == 1e-3
+        _, log = train(ds, TrainConfig(max_steps=1200, batch_size=8, seed=2))
+        expected = [",".join(repr(v) for v in dataclasses.astuple(w)) for w in log.windows]
+        assert lines[1:] == expected
 
 
 class TestDivergence:
@@ -229,8 +232,7 @@ class TestLossDecreases:
         _, log = train(ds, config)
         assert log.windows[-1].mean_loss < log.windows[0].mean_loss
 
-    def test_benchmark_regression(self):
+    def test_benchmark_regression(self, benchmark_model):
         # frozen baseline: seed 7 lands at 0.0452 / 0.2214 = 0.204
-        ds = generate(SynthConfig(n=2000, d_in=16, noise_sigma=0.05, seed=7))
-        _, log = train(ds, TrainConfig(max_steps=30000, seed=7))
+        _, log = benchmark_model
         assert log.windows[-1].mean_loss < 0.25 * log.windows[0].mean_loss

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from aespace import encoder
+from aespace import cli, encoder
 from aespace.errors import ConfigError, EmptyInputError, FormatError, ParseError, ShapeError
 from aespace.video import (
     KalmanConfig,
@@ -13,7 +13,6 @@ from aespace.video import (
     load_frames,
     peak_prominences,
     score_sequence,
-    write_frame_csv,
 )
 
 
@@ -213,10 +212,23 @@ class TestFrameIO:
             load_frames(path)
 
     def test_write_frame_csv(self, tmp_path):
-        path = tmp_path / "v.csv"
-        write_frame_csv(["f0", "f1", "f2"], [1.0, 2.0, 1.5], [1.0, 1.5, 1.5], [1], path)
-        lines = path.read_text().splitlines()
+        frames = tmp_path / "f.jsonl"
+        frames.write_text(
+            '{"id": "f0", "features": [1.0, 0.0]}\n'
+            '{"id": "f1", "features": [0.0, 3.0]}\n'
+            '{"id": "f2", "features": [1.0, 0.0]}\n'
+        )
+        model = tmp_path / "m.json"
+        encoder.save(identity_params(2), model)
+        out = tmp_path / "v.csv"
+        assert cli.main([
+            "video", "--model", str(model), "--frames", str(frames),
+            "--q", "0.0", "--r", "1.0", "--out", str(out),
+        ]) == 0
+        lines = out.read_text().splitlines()
+        smoothed = kalman_smooth([1.0, 3.0, 1.0], KalmanConfig(q=0.0, r=1.0))
         assert lines[0] == "frame,raw_score,smoothed_score,is_peak"
-        assert lines[1] == "f0,1.0,1.0,0"
-        assert lines[2] == "f1,2.0,1.5,1"
-        assert lines[3] == "f2,1.5,1.5,0"
+        assert lines[1] == f"f0,1.0,{smoothed[0]!r},0"
+        assert lines[2] == f"f1,3.0,{smoothed[1]!r},1"
+        assert lines[3] == f"f2,1.0,{smoothed[2]!r},0"
+        assert len(lines) == 4
