@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__, data_model, encoder, ranker, synth, trainer, video
-from .errors import AespaceError, ConfigError
+from .errors import AespaceError, ConfigError, InputError
 from .loss import LossConfig
 from .sampler import SamplerConfig, TripletSampler
 from .trainer import TrainConfig
@@ -252,7 +252,7 @@ def _load_model_and_dataset(args):
 
 def _cmd_embed(args):
     params, dataset = _load_model_and_dataset(args)
-    embeddings = encoder.forward(params, dataset.feature_matrix()).tolist() if len(dataset) else []
+    embeddings = ranker.embed(params, dataset.feature_matrix()).tolist() if len(dataset) else []
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
     rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids(), embeddings))
     data_model.write_csv(args.out, header, rows)
@@ -275,7 +275,9 @@ def _cmd_eval(args):
     if list(args.thresholds) != sorted(set(args.thresholds)):
         raise _UsageError("thresholds must be strictly increasing")
     params, dataset = _load_model_and_dataset(args)
-    proj = ranker.projection_score(encoder.forward(params, dataset.feature_matrix()))
+    if len(dataset) < 2:
+        raise InputError(f"need at least 2 records to evaluate, {args.input} has {len(dataset)}")
+    proj = ranker.projection_score(ranker.embed(params, dataset.feature_matrix()))
     rows = ranker.pairwise_agreement(proj, dataset.scores(), args.thresholds)
     data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))
     cfg = {"thresholds": list(args.thresholds)}
@@ -310,7 +312,7 @@ def _write_metadata(subcommand, config, seed, inputs, outputs, primary, extra, d
         "duration_s": duration,
     }
     meta.update(extra)
-    with open(f"{primary}.meta.json", "w", encoding="utf-8", newline="\n") as fh:
+    with data_model.open_atomic(f"{primary}.meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

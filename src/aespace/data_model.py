@@ -15,15 +15,18 @@ File format: one record per line, a single JSON object with keys "id"
 numbers), and optional "latent_score" (number in [0, 1], synthetic ground
 truth only). UTF-8, LF line endings.
 
-Every CSV output of the package is written by ``write_csv``.
+Every CSV output of the package is written by ``write_csv``, and every
+output file through ``open_atomic``, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,6 +234,33 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(records=records, d_in=d_in)
 
 
+@contextlib.contextmanager
+def open_atomic(path: str | Path, newline: str = "\n"):
+    """Open ``path`` for writing UTF-8 text that appears there only when complete.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` when the block exits normally. If the block raises, the
+    temporary file is removed and ``path`` keeps what it held before, or
+    stays absent. A symlink keeps pointing at the file it names. A path that
+    exists but is no regular file (``/dev/stdout``, a pipe, a device) cannot
+    be replaced, so it is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with path.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the one-record-per-line metadata format.
 
@@ -238,8 +268,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     to the identical value (at most 17 significant digits), so a
     load/save/load cycle is exact.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         for record in dataset.records:
             obj = {
                 "id": record.id,
@@ -284,7 +313,7 @@ def write_csv(path: str | Path, header, rows) -> None:
     a line break. Numbers are written by ``str``, which for a float is the
     shortest text that parses back to the identical value.
     """
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data_model import open_atomic
 from .errors import ConfigError, ModelFormatError, ModelVersionError, ShapeError
 
 MODEL_FILE_VERSION = 1
@@ -139,7 +140,7 @@ def save(params: EncoderParams, path: str | Path) -> None:
         "weights": [[float(v) for v in w.ravel()] for w in params.weights],
         "biases": [[float(v) for v in b] for b in params.biases],
     }
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 

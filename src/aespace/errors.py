@@ -41,6 +41,10 @@ class InputError(AespaceError):
     """Aligned inputs disagree (mismatched lengths or id sets)."""
 
 
+class NonFiniteError(AespaceError):
+    """A computation produced a NaN or infinite value."""
+
+
 class SamplerStarvationError(AespaceError):
     """No triplet was accepted within the proposal budget."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoder
 from .data_model import Dataset
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,27 @@ def projection_score(phi):
     return np.linalg.norm(np.asarray(phi, dtype=np.float64), axis=-1)
 
 
+def embed(params: encoder.EncoderParams, features) -> np.ndarray:
+    """``encoder.forward`` for inference: embeddings whose norms are all finite.
+
+    A model with huge (but finite) weights can overflow on ordinary input;
+    its output would rank and score as NaN or infinity.
+
+    Raises:
+        NonFiniteError: An embedding, or its projection score, is NaN or
+            infinite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = encoder.forward(params, features)
+        bad = ~np.isfinite(projection_score(phi))
+    if bad.any():
+        raise NonFiniteError(
+            f"model output is not finite for {int(bad.sum())} of {bad.size} input(s) "
+            f"(first: input {int(np.argmax(bad))})"
+        )
+    return phi
+
+
 def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tuple[str, float]]:
     """Order a collection by descending projection score.
 
@@ -49,14 +70,60 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
 
     Raises:
         ConfigError: Dataset feature length does not match the encoder input.
+        NonFiniteError: The model output is NaN or infinite for some record.
     """
     if len(dataset) == 0:
         return []
     if dataset.d_in != params.d_in:
         raise ConfigError(f"dataset d_in={dataset.d_in} but encoder expects {params.d_in}")
-    norms = projection_score(encoder.forward(params, dataset.feature_matrix()))
+    norms = projection_score(embed(params, dataset.feature_matrix()))
     order = sorted(range(len(dataset)), key=lambda i: (-norms[i], dataset.records[i].id))
     return [(dataset.records[i].id, float(norms[i])) for i in order]
+
+
+def _gap_frontier(s: np.ndarray, delta: float) -> np.ndarray:
+    """For ascending ``s``: ``lo[k]`` = #{i : s[k] - s[i] > delta}.
+
+    The set is a prefix of ``s``, and it only grows with k. A binary search
+    on ``s - delta`` can miss its end in the last bit, so each end is then
+    moved, a run of equal values at a time, until the float predicate
+    ``s[k] - s[i] > delta`` itself holds before it and fails after it.
+    """
+    n = s.size
+    lo = np.searchsorted(s, s - delta, side="left")
+    while True:
+        before, at = s[np.maximum(lo - 1, 0)], s[np.minimum(lo, n - 1)]
+        down = (lo > 0) & ~((s - before) > delta)
+        up = (lo < n) & ((s - at) > delta)
+        if not (down.any() or up.any()):
+            return lo
+        lo = np.where(down, np.searchsorted(s, before, side="left"), lo)
+        lo = np.where(up, np.searchsorted(s, at, side="right"), lo)
+
+
+def _count_lower_before(ranks: list[int], lo) -> int:
+    """Sum over k of #{i < lo[k] : ranks[i] < ranks[k]}, for non-decreasing lo.
+
+    A Fenwick tree (Fenwick 1994) over the rank values counts the items
+    inserted so far below each rank; item i is inserted once the frontier
+    ``lo`` passes it. O(n log n) time, O(n) memory.
+    """
+    size = len(ranks)
+    tree = [0] * (size + 1)
+    total = 0
+    inserted = 0
+    for rank, stop in zip(ranks, lo):
+        while inserted < stop:
+            x = ranks[inserted] + 1
+            while x <= size:
+                tree[x] += 1
+                x += x & -x
+            inserted += 1
+        x = rank
+        while x:
+            total += tree[x]
+            x -= x & -x
+    return total
 
 
 def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[AgreementRow]:
@@ -66,8 +133,14 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
     for agreement between the projection-score ordering and the true-score
     ordering. A projection-score tie counts as disagreement.
 
+    O(n log n) time per threshold and O(n) memory: after one sort by true
+    score, the pairs beyond a threshold are, for each item, a prefix of the
+    items below it, and the agreeing ones are those with a strictly lower
+    projection score.
+
     Raises:
-        InputError: Score lists are not aligned or have fewer than 2 items.
+        InputError: Score lists are not aligned, have fewer than 2 items or
+            hold a NaN or infinite value.
     """
     proj = np.asarray(projection_scores, dtype=np.float64)
     true = np.asarray(true_scores, dtype=np.float64)
@@ -75,30 +148,31 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
         raise InputError(f"misaligned score lists: {proj.shape} vs {true.shape}")
     if proj.size < 2:
         raise InputError("need at least 2 items for pairwise agreement")
+    if not (np.all(np.isfinite(proj)) and np.all(np.isfinite(true))):
+        raise InputError("projection and true scores must be finite")
     thresholds = [float(t) for t in thresholds]
     if any(not 0.0 < t < 1.0 for t in thresholds):
         raise InputError(f"thresholds must lie in (0, 1), got {thresholds}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise InputError(f"thresholds must be strictly increasing, got {thresholds}")
 
-    iu, ju = np.triu_indices(proj.size, k=1)
-    dt = true[iu] - true[ju]
-    dp = proj[iu] - proj[ju]
-    agree = ((dt > 0) & (dp > 0)) | ((dt < 0) & (dp < 0))
-
+    order = np.argsort(true, kind="stable")
+    s = true[order]
+    ranks = np.unique(proj[order], return_inverse=True)[1].tolist()
     rows = []
     for thr in thresholds:
-        sel = np.abs(dt) > thr
-        pairs = int(np.count_nonzero(sel))
-        fraction = float(np.mean(agree[sel])) if pairs else math.nan
-        rows.append(AgreementRow(delta=float(thr), pairs=pairs, agreement=fraction))
+        lo = _gap_frontier(s, thr)
+        pairs = int(lo.sum())
+        fraction = _count_lower_before(ranks, lo.tolist()) / pairs if pairs else math.nan
+        rows.append(AgreementRow(delta=thr, pairs=pairs, agreement=fraction))
     return rows
 
 
 def kendall_tau(order_a: list[str], order_b: list[str]) -> float:
     """Rank correlation between two orderings of the same id set.
 
-    Computed over all pairs: (concordant - discordant) / C(n, 2).
+    Computed over all pairs: (concordant - discordant) / C(n, 2), in
+    O(n log n) time and O(n) memory.
 
     Raises:
         InputError: The orderings are not permutations of the same ids.
@@ -112,8 +186,6 @@ def kendall_tau(order_a: list[str], order_b: list[str]) -> float:
         raise InputError("need at least 2 items for kendall_tau")
 
     pos_b = {rec_id: i for i, rec_id in enumerate(order_b)}
-    ranks = np.array([pos_b[rec_id] for rec_id in order_a])
-    diff_sign = np.sign(ranks[None, :] - ranks[:, None])
-    iu, ju = np.triu_indices(n, k=1)
-    s = int(diff_sign[iu, ju].sum())
+    concordant = _count_lower_before([pos_b[rec_id] for rec_id in order_a], range(n))
+    s = 2 * concordant - n * (n - 1) // 2
     return s / (n * (n - 1) / 2)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, ImageRecord
+from .data_model import Dataset, ImageRecord, open_atomic
 from .errors import ConfigError
 
 BASIS_SIZE = 5
@@ -136,6 +136,6 @@ def write_sidecar(config: SynthConfig, path: str | Path) -> None:
         "rng": "numpy default_rng (PCG64)",
         "mixing_matrix": [[float(v) for v in row] for row in mixing_matrix(config)],
     }
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

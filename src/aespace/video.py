@@ -83,6 +83,7 @@ def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
 
     Raises:
         ShapeError: A frame's length does not match the encoder input.
+        NonFiniteError: The model output is NaN or infinite for some frame.
     """
     try:
         frames = np.asarray(frames, dtype=np.float64)
@@ -92,7 +93,7 @@ def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
         return []
     if frames.ndim != 2 or frames.shape[1] != params.d_in:
         raise ShapeError(f"frame array shape {frames.shape} incompatible with d_in={params.d_in}")
-    return ranker.projection_score(encoder.forward(params, frames)).tolist()
+    return ranker.projection_score(ranker.embed(params, frames)).tolist()
 
 
 def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:

@@ -333,6 +333,33 @@ class TestBadArtifacts:
         assert "non-finite weight or bias" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])
+    def test_non_finite_model_output_fails(self, workspace, tmp_path, capsys, command):
+        # finite weights that load, but whose output overflows
+        payload = json.loads(workspace["model"].read_text())
+        payload["weights"] = [[w * 1e200 for w in layer] for layer in payload["weights"]]
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out.csv"
+        data_flag = "--frames" if command == "video" else "--input"
+        code = run(command, "--model", model, data_flag, workspace["dataset"], "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "model output is not finite for 60 of 60 input(s)" in err
+        assert "Warning" not in err
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("records", [0, 1])
+    def test_eval_needs_two_records(self, workspace, tmp_path, capsys, records):
+        lines = workspace["dataset"].read_text().splitlines(keepends=True)[:records]
+        data = tmp_path / "small.jsonl"
+        data.write_text("".join(lines))
+        out = tmp_path / "agreement.csv"
+        assert run("eval", "--model", workspace["model"], "--input", data, "--out", out) == 1
+        assert f"need at least 2 records to evaluate, {data} has {records}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ids_that_need_quoting_parse_back(self, tmp_path):
         ids = ["a,b", 'q"x', "line\nbreak", "plain"]
         data = tmp_path / "d.jsonl"

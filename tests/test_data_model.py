@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -229,3 +232,43 @@ class TestWriteCsv:
         with open(path, newline="", encoding="utf-8") as fh:
             back = list(csv.reader(fh))
         assert back == [["id", "x", "n"]] + [[r[0], repr(r[1]), str(r[2])] for r in rows]
+
+    @pytest.mark.parametrize("before", [None, "old contents\n"])
+    def test_failure_mid_write_leaves_target_absent_or_unchanged(self, tmp_path, before):
+        path = tmp_path / "t.csv"
+        if before is not None:
+            path.write_text(before, encoding="utf-8")
+
+        def rows():
+            # enough rows to flush several buffers to disk before the failure
+            for i in range(20_000):
+                yield ("row", i)
+            raise RuntimeError("failure mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_csv(path, ("id", "n"), rows())
+        if before is None:
+            assert not path.exists()
+        else:
+            assert path.read_text(encoding="utf-8") == before
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.csv"])
+
+    def test_writes_through_a_symlink_and_into_a_pipe(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_csv(link, ("a",), [(1,)])
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == "a\n1\n"
+
+        # a pipe, as behind --out /dev/stdout, must stay a pipe
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        write_csv(fifo, ("a",), [(1,)])
+        reader.join(timeout=10)
+        assert got == ["a\n1\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)

@@ -1,18 +1,74 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import kendalltau, ortho_group
 
 from aespace import cli, encoder
 from aespace.data_model import Dataset, ImageRecord, save_dataset
-from aespace.errors import ConfigError, InputError
+from aespace.errors import ConfigError, InputError, NonFiniteError
 from aespace.ranker import (
+    embed,
     kendall_tau,
     pairwise_agreement,
     projection_score,
     rank_collection,
 )
+
+
+def oracle_pairwise_agreement(projection_scores, true_scores, thresholds):
+    """The quadratic reference: every one of the n(n-1)/2 pairs at once.
+
+    Returns (delta, pairs, agreement) per threshold.
+    """
+    proj = np.asarray(projection_scores, dtype=np.float64)
+    true = np.asarray(true_scores, dtype=np.float64)
+    iu, ju = np.triu_indices(proj.size, k=1)
+    dt = true[iu] - true[ju]
+    dp = proj[iu] - proj[ju]
+    agree = ((dt > 0) & (dp > 0)) | ((dt < 0) & (dp < 0))
+    rows = []
+    for thr in thresholds:
+        sel = np.abs(dt) > thr
+        pairs = int(np.count_nonzero(sel))
+        rows.append((float(thr), pairs, float(np.mean(agree[sel])) if pairs else math.nan))
+    return rows
+
+
+def oracle_kendall_tau(order_a, order_b):
+    """The quadratic reference: the sign sum over an n x n rank-difference matrix."""
+    n = len(order_a)
+    pos_b = {rec_id: i for i, rec_id in enumerate(order_b)}
+    ranks = np.array([pos_b[rec_id] for rec_id in order_a])
+    diff_sign = np.sign(ranks[None, :] - ranks[:, None])
+    iu, ju = np.triu_indices(n, k=1)
+    return int(diff_sign[iu, ju].sum()) / (n * (n - 1) / 2)
+
+
+# score values whose differences sit on float rounding boundaries:
+# 0.3 - 0.1 != 0.2 and 0.1 + 0.2 != 0.3
+TRICKY_SCORES = [0.0, 0.1, 0.2, 0.3, 0.3 - 0.1, 0.1 + 0.2, 0.5, 0.7, 0.9, 1.0]
+
+
+@st.composite
+def agreement_inputs(draw):
+    """Scores with ties in both lists, and thresholds on or next to exact gaps."""
+    n = draw(st.integers(2, 40))
+    true = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from(TRICKY_SCORES), st.floats(0.0, 1.0))))
+    proj = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0]), st.floats(-5.0, 5.0))))
+    gap = draw(st.sampled_from(np.abs(true[:, None] - true[None, :]).ravel().tolist()))
+    candidates = {0.1, 0.2, 0.3, 0.3 - 0.1, 0.1 + 0.2, 0.4, 0.6,
+                  gap, float(np.nextafter(gap, 0.0)), float(np.nextafter(gap, 1.0))}
+    thresholds = draw(st.lists(
+        st.sampled_from(sorted(t for t in candidates if 0.0 < t < 1.0)), min_size=1, unique=True))
+    return proj, true, sorted(thresholds)
 
 
 def identity_params(dim):
@@ -50,6 +106,18 @@ class TestProjectionScore:
         assert norms.shape == (5,)
         for phi, norm in zip(phis, norms):
             assert norm == pytest.approx(projection_score(phi), rel=1e-15)
+
+
+class TestEmbed:
+    def test_returns_forward(self):
+        x = np.random.default_rng(50).normal(size=(4, 2))
+        np.testing.assert_array_equal(embed(identity_params(2), x), x)
+
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [math.nan, 0.0], [math.inf, 0.0]])
+    def test_non_finite_output_or_norm_rejected(self, row):
+        # 1e200 is finite, but its squared norm overflows
+        with pytest.raises(NonFiniteError, match="1 of 2 input"):
+            embed(identity_params(2), [[1.0, 2.0], row])
 
 
 class TestRankCollection:
@@ -139,6 +207,45 @@ class TestPairwiseAgreement:
             assert a.pairs == b.pairs
             assert a.agreement == pytest.approx(b.agreement)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(agreement_inputs())
+    def test_matches_quadratic_oracle(self, case):
+        proj, true, thresholds = case
+        rows = pairwise_agreement(proj, true, thresholds)
+        expected = oracle_pairwise_agreement(proj, true, thresholds)
+        assert len(rows) == len(expected)
+        for row, (delta, pairs, agreement) in zip(rows, expected):
+            assert row.delta == delta
+            assert row.pairs == pairs
+            assert row.agreement == agreement or (math.isnan(agreement) and math.isnan(row.agreement))
+
+    def test_gap_equal_to_threshold_is_excluded(self):
+        # 0.3 - 0.1 rounds below 0.2, 0.1 + 0.2 - 0.1 rounds above it
+        rows = pairwise_agreement([0.0, 1.0, 2.0], [0.1, 0.3, 0.1 + 0.2], [0.2])
+        assert [dataclasses.astuple(r) for r in rows] == [(0.2, 1, 1.0)]
+        assert oracle_pairwise_agreement([0.0, 1.0, 2.0], [0.1, 0.3, 0.1 + 0.2], [0.2]) == [(0.2, 1, 1.0)]
+
+    def test_memory_stays_linear_at_20000(self):
+        # the quadratic version needs gigabytes here
+        rng = np.random.default_rng(48)
+        true = rng.uniform(size=20_000)
+        proj = true + rng.normal(0.0, 0.2, size=20_000)
+        tracemalloc.start()
+        try:
+            (row,) = pairwise_agreement(proj, true, [0.4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.pairs > 0
+        assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            pairwise_agreement([1.0, bad, 2.0], [0.1, 0.5, 0.9], [0.1])
+        with pytest.raises(InputError, match="finite"):
+            pairwise_agreement([1.0, 1.5, 2.0], [0.1, bad, 0.9], [0.1])
+
     def test_input_validation(self):
         with pytest.raises(InputError):
             pairwise_agreement([1.0], [0.5], [0.1])
@@ -175,6 +282,13 @@ class TestKendallTau:
                 ranks_b[k] = position[rid]
             expected = kendalltau(ranks_a, ranks_b).statistic
             assert ours == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 60).flatmap(lambda n: st.permutations(range(n))))
+    def test_matches_quadratic_oracle(self, perm):
+        ids = [f"x{i}" for i in range(len(perm))]
+        other = [ids[j] for j in perm]
+        assert kendall_tau(ids, other) == oracle_kendall_tau(ids, other)
 
     def test_mismatched_ids(self):
         with pytest.raises(InputError):
