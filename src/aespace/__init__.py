@@ -14,7 +14,7 @@ from .encoder import EncoderParams
 from .errors import AespaceError
 from .loss import LossConfig, TripletLossResult, directional_triplet_loss
 from .ranker import kendall_tau, pairwise_agreement, projection_score, rank_collection
-from .sampler import SamplerConfig, Triplet, TripletSampler
+from .sampler import SamplerConfig, TripletSampler
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, TrainLog, train
 from .video import KalmanConfig, PeakConfig, detect_peaks, kalman_smooth, score_sequence
@@ -32,7 +32,6 @@ __all__ = [
     "SynthConfig",
     "TrainConfig",
     "TrainLog",
-    "Triplet",
     "TripletLossResult",
     "TripletSampler",
     "compute_score",

@@ -6,8 +6,9 @@ embed, rank, evaluate orderings, and score frame sequences.
 
 Every run writes its primary output plus a ``<out>.meta.json`` sidecar
 recording the subcommand, the fully resolved config, seeds, paths, the
-package version, and wall-clock duration. All outputs except the duration
-field are deterministic for fixed flags.
+package version, and wall-clock duration. The sidecar is skipped when the
+primary output is not a regular file (a pipe or a device). All outputs
+except the duration field are deterministic for fixed flags.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -70,6 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"aespace {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
 
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--alpha", type=float, default=0.25, help="lower ratio bound (default 0.25)")
+    window.add_argument("--beta", type=float, default=0.75, help="upper ratio bound (default 0.75)")
+    window.add_argument("--pair-ref", choices=("mean", "anchor"), default="mean",
+                        help="pair reference in the ratio denominator (default mean)")
+
+    model_input = argparse.ArgumentParser(add_help=False)
+    model_input.add_argument("--model", required=True, help="model file path (JSON)")
+    model_input.add_argument("--input", required=True, help="dataset path (JSONL)")
+
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True, help="number of records")
     p.add_argument("--din", type=int, required=True, help="feature dimension (>= 2)")
@@ -85,20 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (id,score)")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("sample", help="draw training triplets and dump them")
+    p = sub.add_parser("sample", parents=[window], help="draw training triplets and dump them")
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
     p.add_argument("--count", type=int, default=1000, help="triplets to draw (default 1000)")
-    p.add_argument("--alpha", type=float, default=0.25, help="lower ratio bound (default 0.25)")
-    p.add_argument("--beta", type=float, default=0.75, help="upper ratio bound (default 0.75)")
-    p.add_argument("--pair-ref", choices=("mean", "anchor"), default="mean",
-                   help="pair reference in the ratio denominator (default mean)")
     p.add_argument("--max-proposals", type=int, default=1_000_000,
                    help="starvation budget between acceptances (default 1000000)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path (a,p,n,pair_above,ratio)")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("train", help="train the encoder on sampled triplets")
+    p = sub.add_parser("train", parents=[window], help="train the encoder on sampled triplets")
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
     p.add_argument("--embed-dim", type=int, default=16, help="embedding dimension (default 16)")
     p.add_argument("--hidden", type=_parse_dims, default=(64, 32),
@@ -106,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.2, help="triplet margin m (default 0.2)")
     p.add_argument("--dir-margin", type=float, default=0.1,
                    help="directional margin (default 0.1)")
-    p.add_argument("--alpha", type=float, default=0.25, help="lower ratio bound (default 0.25)")
-    p.add_argument("--beta", type=float, default=0.75, help="upper ratio bound (default 0.75)")
     p.add_argument("--lr", type=float, default=1e-3, help="initial learning rate (default 0.001)")
     p.add_argument("--batch", type=int, default=64, help="triplets per step (default 64)")
     p.add_argument("--steps", type=int, required=True, help="number of SGD steps")
@@ -118,25 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train with the plain triplet loss only")
     p.add_argument("--literal-sign", action="store_true",
                    help="use the signed directional form instead of the hinge form")
-    p.add_argument("--pair-ref", choices=("mean", "anchor"), default="mean",
-                   help="pair reference in the ratio denominator (default mean)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("embed", help="embed every record with a trained model")
-    p.add_argument("--model", required=True, help="model file path (JSON)")
-    p.add_argument("--input", required=True, help="dataset path (JSONL)")
+    p = sub.add_parser("embed", parents=[model_input], help="embed every record with a trained model")
     p.add_argument("--out", required=True, help="output CSV path (id,phi0,...)")
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("rank", help="order records by embedding norm")
-    p.add_argument("--model", required=True, help="model file path (JSON)")
-    p.add_argument("--input", required=True, help="dataset path (JSONL)")
+    p = sub.add_parser("rank", parents=[model_input], help="order records by embedding norm")
     p.add_argument("--out", required=True, help="output CSV path (rank,id,score)")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("eval", help="pairwise ordering agreement against record scores")
-    p.add_argument("--model", required=True, help="model file path (JSON)")
-    p.add_argument("--input", required=True, help="dataset path (JSONL)")
+    p = sub.add_parser("eval", parents=[model_input],
+                       help="pairwise ordering agreement against record scores")
     p.add_argument("--thresholds", type=_parse_floats,
                    default=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
                    help="score-difference thresholds (default 0.1,0.2,0.3,0.4,0.5,0.6)")
@@ -178,13 +176,14 @@ def _cmd_synth(args):
     data_model.save_dataset(dataset, args.out)
     sidecar = f"{args.out}.sidecar.json"
     synth.write_sidecar(config, sidecar)
-    return dataclasses.asdict(config), seed, [], [args.out, sidecar], args.out, {}
+    return {"config": dataclasses.asdict(config), "seed": seed, "inputs": [],
+            "outputs": [args.out, sidecar]}
 
 
 def _cmd_score(args):
     dataset = data_model.load_dataset(args.input)
     data_model.write_csv(args.out, ("id", "score"), zip(dataset.ids(), dataset.scores().tolist()))
-    return {}, None, [args.input], [args.out], args.out, {}
+    return {"config": {}, "seed": None, "inputs": [args.input], "outputs": [args.out]}
 
 
 def _cmd_sample(args):
@@ -200,9 +199,9 @@ def _cmd_sample(args):
         raise _UsageError(f"--count must be >= 0, got {args.count}")
     dataset = data_model.load_dataset(args.input)
     smp = TripletSampler(dataset.scores(), config)
-    triplets = smp.sample_batch(args.count)
-    data_model.write_csv(args.out, ("a", "p", "n", "pair_above", "ratio"), (
-        (t.a, t.p, t.n, "true" if t.pair_above else "false", t.ratio) for t in triplets
+    a, p, n, above, ratio = (arr.tolist() for arr in smp.collect_indices(args.count))
+    data_model.write_csv(args.out, ("a", "p", "n", "pair_above", "ratio"), zip(
+        a, p, n, ("true" if flag else "false" for flag in above), ratio
     ))
     stats = {
         "proposed": smp.stats.proposed,
@@ -211,7 +210,8 @@ def _cmd_sample(args):
     }
     cfg = dataclasses.asdict(config)
     cfg["count"] = args.count
-    return cfg, seed, [args.input], [args.out], args.out, {"stats": stats}
+    return {"config": cfg, "seed": seed, "inputs": [args.input], "outputs": [args.out],
+            "stats": stats}
 
 
 def _cmd_train(args):
@@ -236,8 +236,8 @@ def _cmd_train(args):
     encoder.save(params, args.model_out)
     columns = [f.name for f in dataclasses.fields(trainer.WindowRecord)]
     data_model.write_csv(args.log_out, columns, map(dataclasses.astuple, log.windows))
-    cfg = dataclasses.asdict(config)
-    return cfg, seed, [args.input], [args.model_out, args.log_out], args.model_out, {}
+    return {"config": dataclasses.asdict(config), "seed": seed, "inputs": [args.input],
+            "outputs": [args.model_out, args.log_out]}
 
 
 def _load_model_and_dataset(args):
@@ -256,7 +256,7 @@ def _cmd_embed(args):
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
     rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids(), embeddings))
     data_model.write_csv(args.out, header, rows)
-    return {}, None, [args.model, args.input], [args.out], args.out, {}
+    return {"config": {}, "seed": None, "inputs": [args.model, args.input], "outputs": [args.out]}
 
 
 def _cmd_rank(args):
@@ -265,7 +265,7 @@ def _cmd_rank(args):
     data_model.write_csv(args.out, ("rank", "id", "score"), (
         (rank, rec_id, score) for rank, (rec_id, score) in enumerate(ranked, start=1)
     ))
-    return {}, None, [args.model, args.input], [args.out], args.out, {}
+    return {"config": {}, "seed": None, "inputs": [args.model, args.input], "outputs": [args.out]}
 
 
 def _cmd_eval(args):
@@ -280,8 +280,8 @@ def _cmd_eval(args):
     proj = ranker.projection_score(ranker.embed(params, dataset.feature_matrix()))
     rows = ranker.pairwise_agreement(proj, dataset.scores(), args.thresholds)
     data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))
-    cfg = {"thresholds": list(args.thresholds)}
-    return cfg, None, [args.model, args.input], [args.out], args.out, {}
+    return {"config": {"thresholds": list(args.thresholds)}, "seed": None,
+            "inputs": [args.model, args.input], "outputs": [args.out]}
 
 
 def _cmd_video(args):
@@ -297,24 +297,8 @@ def _cmd_video(args):
         (frame_id, r, s, int(i in peak_set))
         for i, (frame_id, r, s) in enumerate(zip(ids, raw, smoothed))
     ))
-    cfg = {**dataclasses.asdict(kalman), **dataclasses.asdict(peaks_cfg)}
-    return cfg, None, [args.model, args.frames], [args.out], args.out, {}
-
-
-def _write_metadata(subcommand, config, seed, inputs, outputs, primary, extra, duration):
-    meta = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": outputs,
-        "artifact_version": __version__,
-        "duration_s": duration,
-    }
-    meta.update(extra)
-    with data_model.open_atomic(f"{primary}.meta.json") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return {"config": {**dataclasses.asdict(kalman), **dataclasses.asdict(peaks_cfg)},
+            "seed": None, "inputs": [args.model, args.frames], "outputs": [args.out]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -325,7 +309,17 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
-        config, seed, inputs, outputs, primary, extra = args.func(args)
+        meta = args.func(args)
+        meta.update(
+            subcommand=args.subcommand,
+            artifact_version=__version__,
+            duration_s=time.perf_counter() - start,
+        )
+        primary = meta["outputs"][0]
+        if os.path.isfile(primary):
+            with data_model.open_atomic(f"{primary}.meta.json") as fh:
+                json.dump(meta, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     except _UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"aespace {args.subcommand}: error: {exc}", file=sys.stderr)
@@ -333,8 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     except (AespaceError, OSError) as exc:
         print(f"aespace {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
-    duration = time.perf_counter() - start
-    _write_metadata(args.subcommand, config, seed, inputs, outputs, primary, extra, duration)
     return 0
 
 

@@ -78,13 +78,6 @@ class Dataset:
         """Aesthetic score of every record, in record order."""
         return np.array([compute_score(r.views, r.faves) for r in self.records])
 
-    def latent_scores(self) -> np.ndarray:
-        """Ground-truth scores; raises if any record lacks one."""
-        values = [r.latent_score for r in self.records]
-        if any(v is None for v in values):
-            raise RecordError("latent_score", "record without latent_score")
-        return np.array(values, dtype=np.float64)
-
     def feature_matrix(self) -> np.ndarray:
         """Features stacked into an (n, d_in) array."""
         if not self.records:

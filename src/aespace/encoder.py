@@ -36,13 +36,6 @@ class EncoderParams:
     def d_out(self) -> int:
         return self.layer_dims[-1]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 @dataclass
 class EncoderGrads:

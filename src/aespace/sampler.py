@@ -55,21 +55,6 @@ class SamplerStats:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Accepted (anchor, positive, negative) record indices.
-
-    ``pair_above`` is True iff the pair reference score exceeds score(n);
-    ``ratio`` is the accepted constraint ratio.
-    """
-
-    a: int
-    p: int
-    n: int
-    pair_above: bool
-    ratio: float
-
-
 _CHUNK = 2048
 
 
@@ -171,14 +156,6 @@ class TripletSampler:
         above = np.concatenate([r[1] for r in rows])
         ratio = np.concatenate([r[2] for r in rows])
         return idx[:, 0], idx[:, 1], idx[:, 2], above, ratio
-
-    def sample_batch(self, k: int) -> list[Triplet]:
-        """Draw ``k`` accepted triplets in stream order."""
-        a, p, n, above, ratio = self.collect_indices(k)
-        return [
-            Triplet(int(a[i]), int(p[i]), int(n[i]), bool(above[i]), float(ratio[i]))
-            for i in range(k)
-        ]
 
 
 def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:

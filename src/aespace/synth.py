@@ -120,11 +120,6 @@ def generate(config: SynthConfig) -> Dataset:
     return Dataset(records=records, d_in=config.d_in)
 
 
-def rounding_error_bound(config: SynthConfig) -> float:
-    """Worst-case |compute_score - latent_score| from fave rounding."""
-    return math.log(2.0) / math.log(config.view_range[0])
-
-
 def write_sidecar(config: SynthConfig, path: str | Path) -> None:
     """Record the generation config and mixing matrix next to a dataset."""
     payload = {

@@ -28,6 +28,9 @@ from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, batch_loss
 from .sampler import SamplerConfig, TripletSampler
 
+# a window mean counts as an improvement only if it beats the best by this fraction
+PLATEAU_MIN_REL_IMPROVEMENT = 1e-3
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,7 +41,6 @@ class TrainConfig:
     batch_size: int = 64
     plateau_window: int = 500
     plateau_patience: int = 3
-    plateau_min_rel_improvement: float = 1e-3
     seed: int = 0
     hidden_dims: tuple[int, ...] = (64, 32)
     embed_dim: int = 16
@@ -60,8 +62,6 @@ class TrainConfig:
             raise ConfigError(f"plateau_window must be >= 1, got {self.plateau_window}")
         if self.plateau_patience < 1:
             raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        if self.plateau_min_rel_improvement <= 0:
-            raise ConfigError("plateau_min_rel_improvement must be > 0")
         if any(h < 1 for h in self.hidden_dims) or self.embed_dim < 1:
             raise ConfigError("hidden_dims and embed_dim must be positive")
         self.sampler.validate()
@@ -93,13 +93,12 @@ class _PlateauSchedule:
 
     def __init__(self, config: TrainConfig):
         self.factor = config.lr_decay_factor
-        self.threshold = config.plateau_min_rel_improvement
         self.patience = config.plateau_patience
         self.best = None
         self.streak = 0
 
     def update(self, lr: float, window_mean: float) -> float:
-        if self.best is None or window_mean < self.best * (1.0 - self.threshold):
+        if self.best is None or window_mean < self.best * (1.0 - PLATEAU_MIN_REL_IMPROVEMENT):
             self.best = window_mean
             self.streak = 0
             return lr

@@ -55,25 +55,6 @@ class PeakConfig:
             raise ConfigError(f"min_prominence must be >= 0, got {self.min_prominence}")
 
 
-class KalmanFilter:
-    """Scalar random-walk filter; exposes state ``x``, variance ``p``, gain ``k``."""
-
-    def __init__(self, config: KalmanConfig, first_measurement: float):
-        config.validate()
-        self.config = config
-        self.x = first_measurement if config.x0 is None else config.x0
-        self.p = config.p0
-        self.k = 0.0
-
-    def step(self, z: float) -> float:
-        """Predict then update with measurement z; returns the new estimate."""
-        self.p += self.config.q
-        self.k = self.p / (self.p + self.config.r)
-        self.x += self.k * (z - self.x)
-        self.p *= 1.0 - self.k
-        return self.x
-
-
 def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
     """Projection score of each frame, in input order.
 
@@ -99,14 +80,27 @@ def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
 def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:
     """Causal smoothing of a scalar series; output length equals input length.
 
+    Each measurement z runs one predict step (variance p += q) and one update
+    step (gain k = p / (p + r), estimate x += k * (z - x), p *= 1 - k).
+
     Raises:
         EmptyInputError: The series is empty.
     """
     series = [float(z) for z in series]
     if not series:
         raise EmptyInputError("kalman_smooth needs a non-empty series")
-    filt = KalmanFilter(config, series[0])
-    return [filt.step(z) for z in series]
+    config.validate()
+    q, r = config.q, config.r
+    x = series[0] if config.x0 is None else config.x0
+    p = config.p0
+    out = []
+    for z in series:
+        p += q
+        k = p / (p + r)
+        x += k * (z - x)
+        p *= 1.0 - k
+        out.append(x)
+    return out
 
 
 def peak_prominences(series: np.ndarray, peaks: list[int]) -> list[float]:

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -388,3 +390,31 @@ class TestBadArtifacts:
         frames = rows("video", "--model", model, "--frames", data)
         assert [r[0] for r in frames[1:]] == ids
         assert all(len(r) == 4 for r in frames)
+
+
+class TestSidecar:
+    def test_unwritable_sidecar_is_a_runtime_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        (tmp_path / "s.csv.meta.json").mkdir()
+        assert run("score", "--input", workspace["dataset"], "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("aespace score: error: ")
+        assert "s.csv.meta.json" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_no_sidecar_beside_a_pipe(self, workspace, tmp_path):
+        regular = tmp_path / "regular.csv"
+        assert run("score", "--input", workspace["dataset"], "--out", regular) == 0
+        fifo = tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            code = run("score", "--input", workspace["dataset"], "--out", fifo)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [regular.read_text()]
+        assert not (tmp_path / "s.csv.meta.json").exists()

@@ -76,12 +76,10 @@ class TestKnownFixtures:
         assert expected == {(0, 1, 2), (1, 0, 2)}
 
         smp = TripletSampler(scores, SamplerConfig(alpha=0.0, beta=0.5, seed=0))
-        seen = set()
-        for t in smp.sample_batch(200):
-            seen.add((t.a, t.p, t.n))
-            assert t.ratio == pytest.approx(0.02 / 0.69, rel=1e-9)
-            assert t.pair_above is False
-        assert seen == expected
+        a, p, n, above, ratio = smp.collect_indices(200)
+        assert set(zip(a.tolist(), p.tolist(), n.tolist())) == expected
+        np.testing.assert_allclose(ratio, 0.02 / 0.69, rtol=1e-9)
+        assert not above.any()
 
     def test_wide_open_window_accepts_everything_nondegenerate(self):
         rng = np.random.default_rng(20)
@@ -115,15 +113,15 @@ class TestSoundness:
         scores = ds.scores()
         cfg = SamplerConfig(alpha=0.25, beta=0.75, seed=7)
         smp = TripletSampler(scores, cfg)
-        for t in smp.sample_batch(10_000):
-            assert len({t.a, t.p, t.n}) == 3
-            ref = (scores[t.a] + scores[t.p]) / 2.0
-            den = abs(ref - scores[t.n])
+        for a, p, n, above, got in zip(*(arr.tolist() for arr in smp.collect_indices(10_000))):
+            assert len({a, p, n}) == 3
+            ref = (scores[a] + scores[p]) / 2.0
+            den = abs(ref - scores[n])
             assert den > 0.0
-            ratio = abs(scores[t.a] - scores[t.p]) / den
+            ratio = abs(scores[a] - scores[p]) / den
             assert cfg.alpha < ratio < cfg.beta
-            assert t.ratio == pytest.approx(ratio, rel=1e-12)
-            assert t.pair_above == (ref > scores[t.n])
+            assert got == pytest.approx(ratio, rel=1e-12)
+            assert above == (ref > scores[n])
 
 
 class TestCompleteness:
@@ -142,24 +140,28 @@ class TestCompleteness:
         smp = TripletSampler(scores, SamplerConfig(seed=10, pair_ref="anchor"))
         got = drain_accepted_set(smp, 200_000)
         assert got == expected
-        for t in TripletSampler(scores, SamplerConfig(seed=11, pair_ref="anchor")).sample_batch(500):
-            den = abs(scores[t.a] - scores[t.n])
-            assert t.ratio == pytest.approx(abs(scores[t.a] - scores[t.p]) / den, rel=1e-12)
+        a, p, n, _, ratio = TripletSampler(
+            scores, SamplerConfig(seed=11, pair_ref="anchor")
+        ).collect_indices(500)
+        scores = np.asarray(scores)
+        expected = np.abs(scores[a] - scores[p]) / np.abs(scores[a] - scores[n])
+        np.testing.assert_allclose(ratio, expected, rtol=1e-12)
 
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
         scores = generate(SynthConfig(n=50, d_in=2, seed=1)).scores()
-        a = TripletSampler(scores, SamplerConfig(seed=5)).sample_batch(100)
-        b = TripletSampler(scores, SamplerConfig(seed=5)).sample_batch(100)
-        assert [(t.a, t.p, t.n) for t in a] == [(t.a, t.p, t.n) for t in b]
+        a = TripletSampler(scores, SamplerConfig(seed=5)).collect_indices(100)
+        b = TripletSampler(scores, SamplerConfig(seed=5)).collect_indices(100)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_call_pattern_does_not_change_stream(self):
         scores = generate(SynthConfig(n=50, d_in=2, seed=1)).scores()
-        batched = TripletSampler(scores, SamplerConfig(seed=5)).sample_batch(60)
+        ba, bp, bn, _, _ = TripletSampler(scores, SamplerConfig(seed=5)).collect_indices(60)
         single = TripletSampler(scores, SamplerConfig(seed=5))
         one_by_one = [single.collect_indices(1) for _ in range(60)]
-        assert [(t.a, t.p, t.n) for t in batched] == [
+        assert list(zip(ba.tolist(), bp.tolist(), bn.tolist())) == [
             (int(a[0]), int(p[0]), int(n[0])) for a, p, n, _, _ in one_by_one
         ]
 
@@ -168,7 +170,7 @@ class TestStats:
     def test_counts(self):
         scores = generate(SynthConfig(n=40, d_in=2, seed=2)).scores()
         smp = TripletSampler(scores, SamplerConfig(seed=3))
-        smp.sample_batch(1000)
+        smp.collect_indices(1000)
         assert smp.stats.accepted == 1000
         assert smp.stats.proposed >= 1000
         assert 0.0 < smp.stats.acceptance_rate <= 1.0
@@ -256,9 +258,10 @@ class TestOutputs:
         lines = out.read_text().splitlines()
         assert lines[0] == "a,p,n,pair_above,ratio"
         scores = generate(SynthConfig(n=40, d_in=2, seed=2)).scores()
+        arrays = TripletSampler(scores, SamplerConfig(seed=6)).collect_indices(50)
         expected = [
-            f"{t.a},{t.p},{t.n},{'true' if t.pair_above else 'false'},{t.ratio!r}"
-            for t in TripletSampler(scores, SamplerConfig(seed=6)).sample_batch(50)
+            f"{a},{p},{n},{'true' if above else 'false'},{ratio!r}"
+            for a, p, n, above, ratio in zip(*(arr.tolist() for arr in arrays))
         ]
         assert lines[1:] == expected
         assert {line.split(",")[3] for line in lines[1:]} == {"true", "false"}

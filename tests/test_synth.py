@@ -12,7 +12,6 @@ from aespace.synth import (
     basis,
     generate,
     mixing_matrix,
-    rounding_error_bound,
     write_sidecar,
 )
 
@@ -76,8 +75,9 @@ class TestGenerate:
     def test_score_recovery_universal_bound(self):
         cfg = SynthConfig(n=300, d_in=4, noise_sigma=0.0, seed=11)
         ds = generate(cfg)
-        bound = rounding_error_bound(cfg)
-        assert bound == pytest.approx(math.log(2) / math.log(100))
+        # faves = max(1, round(V**s)) lies within a factor 2 of V**s, so
+        # ln(faves) / ln(V) is off by at most ln 2 / ln view_lo
+        bound = math.log(2) / math.log(cfg.view_range[0])
         for rec in ds.records:
             assert abs(compute_score(rec.views, rec.faves) - rec.latent_score) <= bound
 

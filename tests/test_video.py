@@ -6,7 +6,6 @@ from aespace import cli, encoder
 from aespace.errors import ConfigError, EmptyInputError, FormatError, ParseError, ShapeError
 from aespace.video import (
     KalmanConfig,
-    KalmanFilter,
     PeakConfig,
     detect_peaks,
     kalman_smooth,
@@ -64,10 +63,11 @@ class TestKalman:
         assert abs(out[0] - 0.5) < 1e-12
         assert abs(out[1] - 2.0 / 3.0) < 1e-12
 
-        filt = KalmanFilter(cfg, first_measurement=1.0)
-        filt.step(1.0)
-        filt.step(1.0)
-        assert abs(filt.p - 1.0 / 3.0) < 1e-12
+        # variance 1/3 after two steps gives gain (1/3) / (1/3 + r) = 1/4 on a
+        # third measurement, read as the share of the innovation taken up
+        out = kalman_smooth([1.0, 1.0, 0.0], cfg)
+        gain = (out[2] - out[1]) / (0.0 - out[1])
+        assert abs(gain - 0.25) < 1e-12
 
     def test_measurement_trust_limit(self):
         # r much smaller than q keeps the gain pinned near 1, so the
@@ -78,11 +78,11 @@ class TestKalman:
         np.testing.assert_allclose(out, series, atol=1e-6)
 
     def test_gain_approaches_one_when_r_vanishes(self):
-        cfg = KalmanConfig(q=1e-4, r=1e-12)
-        filt = KalmanFilter(cfg, first_measurement=0.0)
-        for z in [1.0, -2.0, 0.5, 3.0, 0.0]:
-            filt.step(z)
-            assert filt.k > 1.0 - 1e-7
+        cfg = KalmanConfig(q=1e-4, r=1e-12, x0=0.0)
+        series = [1.0, -2.0, 0.5, 3.0, 0.0]
+        out = kalman_smooth(series, cfg)
+        for prev, z, x in zip([0.0, *out], series, out):
+            assert (x - prev) / (z - prev) > 1.0 - 1e-7
 
     def test_constant_input_constant_output(self):
         out = kalman_smooth([2.5] * 50, KalmanConfig(q=1e-3, r=1e-2))
@@ -98,11 +98,13 @@ class TestKalman:
 
     def test_gain_stays_in_unit_interval(self):
         rng = np.random.default_rng(52)
-        cfg = KalmanConfig(q=1e-4, r=1e-2, p0=1.0)
-        filt = KalmanFilter(cfg, first_measurement=0.0)
-        for z in rng.normal(size=500):
-            filt.step(float(z))
-            assert 0.0 < filt.k < 1.0
+        cfg = KalmanConfig(q=1e-4, r=1e-2, p0=1.0, x0=0.0)
+        series = rng.normal(size=500).tolist()
+        out = kalman_smooth(series, cfg)
+        # a gain in (0, 1) puts each estimate strictly between the previous
+        # estimate and the measurement
+        for prev, z, x in zip([0.0, *out], series, out):
+            assert min(prev, z) < x < max(prev, z)
 
     @pytest.mark.parametrize("q", [0.0, 1e-3])
     def test_variance_reduction_on_white_noise(self, q):
