@@ -9,7 +9,7 @@ collections and scoring video frame sequences.
 __version__ = "0.1.0"
 
 from . import data_model, encoder, errors, loss, ranker, sampler, synth, trainer, video
-from .data_model import Dataset, ImageRecord, compute_score, load_dataset, save_dataset
+from .data_model import Dataset, compute_score, load_dataset, save_dataset
 from .encoder import EncoderParams
 from .errors import AespaceError
 from .loss import LossConfig, TripletLossResult, directional_triplet_loss
@@ -24,7 +24,6 @@ __all__ = [
     "AespaceError",
     "Dataset",
     "EncoderParams",
-    "ImageRecord",
     "KalmanConfig",
     "LossConfig",
     "PeakConfig",

@@ -182,7 +182,7 @@ def _cmd_synth(args):
 
 def _cmd_score(args):
     dataset = data_model.load_dataset(args.input)
-    data_model.write_csv(args.out, ("id", "score"), zip(dataset.ids(), dataset.scores().tolist()))
+    data_model.write_csv(args.out, ("id", "score"), zip(dataset.ids, dataset.scores().tolist()))
     return {"config": {}, "seed": None, "inputs": [args.input], "outputs": [args.out]}
 
 
@@ -252,9 +252,9 @@ def _load_model_and_dataset(args):
 
 def _cmd_embed(args):
     params, dataset = _load_model_and_dataset(args)
-    embeddings = ranker.embed(params, dataset.feature_matrix()).tolist() if len(dataset) else []
+    embeddings = ranker.embed(params, dataset.features).tolist() if len(dataset) else []
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
-    rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids(), embeddings))
+    rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids, embeddings))
     data_model.write_csv(args.out, header, rows)
     return {"config": {}, "seed": None, "inputs": [args.model, args.input], "outputs": [args.out]}
 
@@ -277,7 +277,7 @@ def _cmd_eval(args):
     params, dataset = _load_model_and_dataset(args)
     if len(dataset) < 2:
         raise InputError(f"need at least 2 records to evaluate, {args.input} has {len(dataset)}")
-    proj = ranker.projection_score(ranker.embed(params, dataset.feature_matrix()))
+    proj = ranker.projection_score(ranker.embed(params, dataset.features))
     rows = ranker.pairwise_agreement(proj, dataset.scores(), args.thresholds)
     data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))
     return {"config": {"thresholds": list(args.thresholds)}, "seed": None,

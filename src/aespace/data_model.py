@@ -13,7 +13,9 @@ life-spans under exponential count growth stay comparable.
 File format: one record per line, a single JSON object with keys "id"
 (string), "views" (integer), "faves" (integer), "features" (array of
 numbers), and optional "latent_score" (number in [0, 1], synthetic ground
-truth only). UTF-8, LF line endings.
+truth only). UTF-8, LF line endings. Counts of any size load; a number
+beyond float range in "features" or "latent_score" rejects its record, as
+an infinite one does.
 
 Every CSV output of the package is written by ``write_csv``, and every
 output file through ``open_atomic``, so a failed run leaves no partial file.
@@ -27,7 +29,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,56 +38,44 @@ from .errors import EmptyInputError, FormatError, ParseError, RecordError
 
 logger = logging.getLogger(__name__)
 
+# exact types: JSON yields no subclasses, and a bool is no number here
+_NUMBER_TYPES = (int, float)
+# feature rows held as Python lists before they join the float matrix; a
+# bound on this keeps the loader's peak memory near the matrix's own size
+_BLOCK_ROWS = 4096
 
-@dataclass
-class ImageRecord:
-    """One image: identity, crowd counts, feature vector, optional truth.
+
+@dataclass(eq=False)
+class Dataset:
+    """Validated records as columns: row i is one image, rows in file order.
 
     Attributes:
-        id: Unique identifier within a dataset.
-        views: Visit count; must be >= 2 so the score denominator is positive.
-        faves: Favorite count; must satisfy 1 <= faves <= views.
-        features: Pre-extracted feature vector, fixed length per dataset.
-        latent_score: Optional ground-truth score in [0, 1]; only synthetic
-            datasets carry it.
+        ids: Unique identifiers.
+        views: Visit counts, ints of any size, each >= 2 so the score
+            denominator is positive.
+        faves: Favorite counts, 1 <= faves[i] <= views[i].
+        features: (n, d_in) float64 matrix of pre-extracted feature vectors.
+        latent_scores: Ground-truth scores in [0, 1], NaN for a record that
+            has none; only synthetic datasets carry them.
     """
 
-    id: str
-    views: int
-    faves: int
+    ids: list[str]
+    views: list[int]
+    faves: list[int]
     features: np.ndarray
-    latent_score: float | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-
-
-@dataclass
-class Dataset:
-    """An ordered collection of validated records with a common feature length.
-
-    ``d_in`` is None only for an empty dataset (undefined until the first
-    record).
-    """
-
-    records: list[ImageRecord] = field(default_factory=list)
-    d_in: int | None = None
+    latent_scores: np.ndarray
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
+
+    @property
+    def d_in(self) -> int | None:
+        """Feature length; None only for an empty dataset."""
+        return self.features.shape[1] if self.ids else None
 
     def scores(self) -> np.ndarray:
         """Aesthetic score of every record, in record order."""
-        return np.array([compute_score(r.views, r.faves) for r in self.records])
-
-    def feature_matrix(self) -> np.ndarray:
-        """Features stacked into an (n, d_in) array."""
-        if not self.records:
-            return np.empty((0, 0))
-        return np.stack([r.features for r in self.records])
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
+        return np.array([compute_score(v, f) for v, f in zip(self.views, self.faves)])
 
 
 def compute_score(views: int, faves: int) -> float:
@@ -111,120 +101,133 @@ def compute_score(views: int, faves: int) -> float:
     return math.log(faves) / math.log(views)
 
 
-def validate_record(record: ImageRecord) -> None:
-    """Raise RecordError if any field constraint is violated."""
-    compute_score(record.views, record.faves)
-    if not np.all(np.isfinite(record.features)):
-        raise RecordError("features", "non-finite feature entry")
-    if record.latent_score is not None and not 0.0 <= record.latent_score <= 1.0:
-        raise RecordError("latent_score", f"latent_score {record.latent_score} outside [0, 1]")
+def _to_float(value) -> float:
+    """``float(value)``, or +-inf for an integer beyond float range, as JSON 1e400 gives."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _parse_line(line: str, line_number: int, *, require_counts: bool = True) -> ImageRecord:
-    """Parse one metadata line into an (unvalidated) ImageRecord.
+def _float_matrix(rows: list[list]) -> np.ndarray:
+    """Equal-length number lists as a float64 matrix, in one ``np.array`` call.
 
-    Structural problems (bad JSON, missing keys, wrong types) raise
-    ParseError. With ``require_counts=False`` the views/faves keys may be
-    absent (frame records); absent counts are stored as 0.
+    An integer beyond float range makes that call raise OverflowError; then
+    each entry is converted on its own and such an integer becomes +-inf,
+    which the finiteness checks reject.
     """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(line_number, "record is not a JSON object")
-
-    rec_id = obj.get("id")
-    if not isinstance(rec_id, str):
-        raise ParseError(line_number, "missing or non-string 'id'")
-
-    features = obj.get("features")
-    if not isinstance(features, list) or not features:
-        raise ParseError(line_number, "missing or empty 'features' array")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in features):
-        raise ParseError(line_number, "'features' entries must be numbers")
-
-    def _count(key):
-        value = obj.get(key)
-        if value is None and not require_counts:
-            return 0
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(line_number, f"missing or non-integer '{key}'")
-        return value
-
-    latent = obj.get("latent_score")
-    if latent is not None and (not isinstance(latent, (int, float)) or isinstance(latent, bool)):
-        raise ParseError(line_number, "'latent_score' must be a number")
-
-    return ImageRecord(
-        id=rec_id,
-        views=_count("views"),
-        faves=_count("faves"),
-        features=np.array(features, dtype=np.float64),
-        latent_score=None if latent is None else float(latent),
-    )
+        return np.array(rows, dtype=np.float64)
+    except OverflowError:
+        return np.array([[_to_float(v) for v in row] for row in rows])
 
 
-def _read_records(path: str | Path, *, require_counts: bool = True):
-    """Yield ``(line_number, record)`` for every non-blank metadata line.
+def _read_columns(path: str | Path, *, require_counts: bool = True):
+    """Parse every non-blank metadata line, in one pass and in file order.
 
-    Records come back parsed but unvalidated, in file order.
+    Records come back as columns, checked for structure but not validated.
+    With ``require_counts=False`` the views/faves keys may be absent (frame
+    records); absent counts are stored as 0.
+
+    Returns:
+        (line_numbers, ids, views, faves, features, latents): lists with one
+        entry per record, except ``features``, the (n, d_in) float64 matrix.
+        A latent score is None where the record has none.
 
     Raises:
-        ParseError: A line is not a valid record object (carries the line
-            number).
-        FormatError: A line's feature length disagrees with the first
-            record's.
+        ParseError: A line is not a valid record object (with its number).
+        FormatError: A line's feature length disagrees with the first one's.
     """
-    expected_len: int | None = None
+    line_numbers, ids, views, faves, latents = [], [], [], [], []
+    blocks, rows, width = [], [], None
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = _parse_line(line, line_number, require_counts=require_counts)
-            if expected_len is None:
-                expected_len = record.features.size
-            elif record.features.size != expected_len:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(line_number, "record is not a JSON object")
+
+            rec_id = obj.get("id")
+            if not isinstance(rec_id, str):
+                raise ParseError(line_number, "missing or non-string 'id'")
+            features = obj.get("features")
+            if not isinstance(features, list) or not features:
+                raise ParseError(line_number, "missing or empty 'features' array")
+            if not all(type(v) in _NUMBER_TYPES for v in features):
+                raise ParseError(line_number, "'features' entries must be numbers")
+            latent = obj.get("latent_score")
+            if latent is not None and type(latent) not in _NUMBER_TYPES:
+                raise ParseError(line_number, "'latent_score' must be a number")
+            for key, column in (("views", views), ("faves", faves)):
+                value = obj.get(key)
+                if value is None and not require_counts:
+                    value = 0
+                elif type(value) is not int:
+                    raise ParseError(line_number, f"missing or non-integer '{key}'")
+                column.append(value)
+            if width is None:
+                width = len(features)
+            elif len(features) != width:
                 raise FormatError(
-                    f"line {line_number}: feature length {record.features.size} "
-                    f"!= {expected_len} established earlier"
+                    f"line {line_number}: feature length {len(features)} "
+                    f"!= {width} established earlier"
                 )
-            yield line_number, record
+            line_numbers.append(line_number)
+            ids.append(rec_id)
+            latents.append(None if latent is None else _to_float(latent))
+            rows.append(features)
+            if len(rows) == _BLOCK_ROWS:
+                blocks.append(_float_matrix(rows))
+                rows = []
+
+    if rows:
+        blocks.append(_float_matrix(rows))
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, 0))
+    return line_numbers, ids, views, faves, matrix, latents
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load a metadata file, rejecting records that violate field constraints.
 
-    Rejected records are logged with their line number and offending field;
-    a summary line reports the rejection count. Structural problems abort
-    the load instead:
+    A record's checks run in this order, and the first that fails rejects
+    it: views, faves, finite features, latent score in [0, 1], an id not
+    already kept. Rejected records are logged with their line number and
+    offending field; a summary line reports the rejection count. Structural
+    problems abort the load instead:
 
     Raises:
-        ParseError: A line is not a valid record object (carries the line
-            number).
-        FormatError: A line's feature length disagrees with the first
-            record's.
+        ParseError: A line is not a valid record object (with its number).
+        FormatError: A line's feature length disagrees with the first one's.
     """
-    records: list[ImageRecord] = []
+    line_numbers, ids, views, faves, features, latents = _read_columns(path)
+    finite = np.isfinite(features).all(axis=1).tolist()
+    keep: list[int] = []
     seen_ids: set[str] = set()
-    rejected = 0
-    for line_number, record in _read_records(path):
+    for i, line_number in enumerate(line_numbers):
         try:
-            validate_record(record)
-            if record.id in seen_ids:
-                raise RecordError("id", f"duplicate id {record.id!r}")
+            compute_score(views[i], faves[i])
+            if not finite[i]:
+                raise RecordError("features", "non-finite feature entry")
+            if latents[i] is not None and not 0.0 <= latents[i] <= 1.0:
+                raise RecordError("latent_score", f"latent_score {latents[i]} outside [0, 1]")
+            if ids[i] in seen_ids:
+                raise RecordError("id", f"duplicate id {ids[i]!r}")
         except RecordError as exc:
-            rejected += 1
             logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
             continue
-        seen_ids.add(record.id)
-        records.append(record)
+        seen_ids.add(ids[i])
+        keep.append(i)
 
-    if rejected:
-        logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
-    d_in = records[0].features.size if records else None
-    return Dataset(records=records, d_in=d_in)
+    if len(keep) < len(ids):
+        logger.info("load_dataset(%s): rejected %d record(s)", path, len(ids) - len(keep))
+    latent = np.array([math.nan if latents[i] is None else latents[i] for i in keep])
+    return Dataset([ids[i] for i in keep], [views[i] for i in keep], [faves[i] for i in keep],
+                   features[keep], latent)
 
 
 @contextlib.contextmanager
@@ -262,15 +265,13 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     load/save/load cycle is exact.
     """
     with open_atomic(path) as fh:
-        for record in dataset.records:
-            obj = {
-                "id": record.id,
-                "views": int(record.views),
-                "faves": int(record.faves),
-                "features": [float(v) for v in record.features],
-            }
-            if record.latent_score is not None:
-                obj["latent_score"] = float(record.latent_score)
+        for rec_id, views, faves, features, latent in zip(
+            dataset.ids, dataset.views, dataset.faves,
+            dataset.features.tolist(), dataset.latent_scores.tolist(),
+        ):
+            obj = {"id": rec_id, "views": int(views), "faves": int(faves), "features": features}
+            if not math.isnan(latent):
+                obj["latent_score"] = latent
             fh.write(json.dumps(obj) + "\n")
 
 

@@ -76,9 +76,9 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
         return []
     if dataset.d_in != params.d_in:
         raise ConfigError(f"dataset d_in={dataset.d_in} but encoder expects {params.d_in}")
-    norms = projection_score(embed(params, dataset.feature_matrix()))
-    order = sorted(range(len(dataset)), key=lambda i: (-norms[i], dataset.records[i].id))
-    return [(dataset.records[i].id, float(norms[i])) for i in order]
+    norms = projection_score(embed(params, dataset.features)).tolist()
+    order = sorted(range(len(norms)), key=lambda i: (-norms[i], dataset.ids[i]))
+    return [(dataset.ids[i], norms[i]) for i in order]
 
 
 def _gap_frontier(s: np.ndarray, delta: float) -> np.ndarray:

@@ -15,7 +15,7 @@ the random mixing, raw feature norms alone still order records largely by
 score, before any training.
 
 RNG: numpy's default PCG64 generator seeded with ``SynthConfig.seed``. The
-draw order is fixed (mixing matrix first, then per record: latent score,
+draw order is fixed (mixing matrix first, then per row: latent score,
 view count, noise), so identical configs yield bit-identical datasets.
 """
 
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Dataset, ImageRecord, open_atomic
+from .data_model import Dataset, open_atomic
 from .errors import ConfigError
 
 BASIS_SIZE = 5
@@ -98,26 +98,22 @@ def generate(config: SynthConfig) -> Dataset:
     mix = _draw_mixing_matrix(rng, config.d_in)
     lo, hi = config.view_range
 
-    records = []
+    view_counts, fave_counts = [], []
+    features = np.empty((config.n, config.d_in))
+    latent = np.empty(config.n)
     for k in range(config.n):
         s = float(rng.uniform(0.0, 1.0))
         views = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         views = min(max(views, lo), hi)
-        faves = max(1, int(round(views**s)))
-        # noise is drawn even at sigma 0 so the per-record draw sequence,
+        # noise is drawn even at sigma 0 so the per-row draw sequence,
         # and hence (s, V, F), is identical across noise levels for a seed
         noise = rng.normal(0.0, 1.0, size=config.d_in)
-        features = mix @ basis(s) + config.noise_sigma * noise
-        records.append(
-            ImageRecord(
-                id=f"synth-{k:06d}",
-                views=views,
-                faves=faves,
-                features=features,
-                latent_score=s,
-            )
-        )
-    return Dataset(records=records, d_in=config.d_in)
+        latent[k] = s
+        view_counts.append(views)
+        fave_counts.append(max(1, int(round(views**s))))
+        features[k] = mix @ basis(s) + config.noise_sigma * noise
+    ids = [f"synth-{k:06d}" for k in range(config.n)]
+    return Dataset(ids, view_counts, fave_counts, features, latent)
 
 
 def write_sidecar(config: SynthConfig, path: str | Path) -> None:

@@ -126,7 +126,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     params = encoder.init(layer_dims, init_seed)
 
     scores = dataset.scores()
-    features = dataset.feature_matrix()
+    features = dataset.features
     samp = TripletSampler(scores, dataclasses.replace(config.sampler, seed=sampler_seed))
     schedule = _PlateauSchedule(config)
 

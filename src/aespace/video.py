@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder, ranker
-from .data_model import _read_records
-from .errors import ConfigError, EmptyInputError, ShapeError
+from .data_model import _read_columns
+from .errors import ConfigError, EmptyInputError, FormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,15 @@ def load_frames(path: str | Path) -> tuple[list[str], np.ndarray]:
 
     Raises:
         ParseError: A line is structurally invalid.
-        FormatError: Feature lengths are inconsistent.
+        FormatError: Feature lengths are inconsistent, or a frame has a
+            non-finite feature; a frame cannot be dropped without shifting
+            the timeline.
+        EmptyInputError: The file holds no frames.
     """
-    ids: list[str] = []
-    features: list[np.ndarray] = []
-    for _, record in _read_records(path, require_counts=False):
-        ids.append(record.id)
-        features.append(record.features)
-    if not features:
-        return [], np.empty((0, 0))
-    return ids, np.stack(features)
+    line_numbers, ids, _, _, features, _ = _read_columns(path, require_counts=False)
+    if not ids:
+        raise EmptyInputError(f"no frames in {path}")
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise FormatError(f"line {line_numbers[int(np.argmax(bad))]}: non-finite feature entry")
+    return ids, features

@@ -42,12 +42,9 @@ def mirrored_dataset(benchmark_dataset):
     Ids, views and features are kept; faves follow synth's own construction
     ``max(1, round(V**s))`` at the reversed score, so each record stays valid.
     """
-    records = []
-    for r in benchmark_dataset.records:
-        s = 1.0 - r.latent_score
-        faves = max(1, int(round(r.views**s)))
-        records.append(dataclasses.replace(r, faves=faves, latent_score=s))
-    return data_model.Dataset(records=records, d_in=benchmark_dataset.d_in)
+    s = 1.0 - benchmark_dataset.latent_scores
+    faves = [max(1, int(round(v ** float(t)))) for v, t in zip(benchmark_dataset.views, s)]
+    return dataclasses.replace(benchmark_dataset, faves=faves, latent_scores=s)
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +58,9 @@ def mirrored_ablation_model(mirrored_dataset, train_benchmark):
 
 
 def agreement_rows(params, dataset):
-    embeddings = encoder.forward(params, dataset.feature_matrix())
+    embeddings = encoder.forward(params, dataset.features)
     proj = ranker.projection_score(embeddings)
-    latent = np.array([r.latent_score for r in dataset.records])
-    return ranker.pairwise_agreement(proj, latent, THRESHOLDS)
+    return ranker.pairwise_agreement(proj, dataset.latent_scores, THRESHOLDS)
 
 
 def test_criterion_1_score_exactness():
@@ -193,10 +189,10 @@ def test_criterion_4_gradient_oracle():
 
 def test_criterion_5_ordering_recovery(benchmark_dataset, benchmark_model):
     params, _ = benchmark_model
-    embeddings = encoder.forward(params, benchmark_dataset.feature_matrix())
+    embeddings = encoder.forward(params, benchmark_dataset.features)
     proj = ranker.projection_score(embeddings)
-    latent = np.array([r.latent_score for r in benchmark_dataset.records])
-    ids = [r.id for r in benchmark_dataset.records]
+    latent = benchmark_dataset.latent_scores
+    ids = benchmark_dataset.ids
 
     def order_by(values):
         idx = sorted(range(len(ids)), key=lambda i: (-values[i], ids[i]))

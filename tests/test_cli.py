@@ -224,6 +224,14 @@ class TestOutputs:
         assert abs(float(value) - 1.0 / 3.0) < 1e-12
         assert lines[2] == "flat,0.0"
 
+    def test_score_csv_is_per_record_math_log(self, tmp_path):
+        # np.log(3) / np.log(9170) is 0.12041312010582254, one ulp away
+        path = tmp_path / "one.jsonl"
+        path.write_text('{"id": "synth-005342", "views": 9170, "faves": 3, "features": [0.0]}\n')
+        out = tmp_path / "scores.csv"
+        assert run("score", "--input", path, "--out", out) == 0
+        assert out.read_text().splitlines() == ["id,score", "synth-005342,0.12041312010582252"]
+
     def test_sample_meta_carries_stats(self, workspace, tmp_path):
         out = tmp_path / "trip.csv"
         assert run("sample", "--input", workspace["dataset"], "--count", "25",
@@ -360,6 +368,54 @@ class TestBadArtifacts:
         out = tmp_path / "agreement.csv"
         assert run("eval", "--model", workspace["model"], "--input", data, "--out", out) == 1
         assert f"need at least 2 records to evaluate, {data} has {records}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_number_beyond_float_range_rejects_its_record(self, tmp_path, capsys, caplog):
+        huge = "1" + "0" * 400
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "views": 100, "faves": 10, "features": [1.0, 2.0]}\n'
+            f'{{"id": "b", "views": 100, "faves": 10, "features": [1.0, {huge}]}}\n'
+            f'{{"id": "c", "views": 100, "faves": 10, "features": [1.0, 2.0], "latent_score": {huge}}}\n'
+        )
+        out = tmp_path / "scores.csv"
+        with caplog.at_level("WARNING"):
+            assert run("score", "--input", data, "--out", out) == 0
+        assert out.read_text() == "id,score\na,0.5\n"
+        assert caplog.messages == [
+            "rejected record at line 2 (features): non-finite feature entry",
+            "rejected record at line 3 (latent_score): latent_score inf outside [0, 1]",
+        ]
+        model = tmp_path / "m.json"
+        encoder.save(encoder.init([2, 3], seed=1), model)
+        frames_out = tmp_path / "frames.csv"
+        assert run("video", "--model", model, "--frames", data, "--out", frames_out) == 1
+        assert "aespace video: error: line 2: non-finite feature entry" in capsys.readouterr().err
+        assert not frames_out.exists()
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_video_non_finite_frame_names_its_line(self, tmp_path, capsys, bad):
+        frames = tmp_path / "f.jsonl"
+        frames.write_text(
+            '{"id": "f0", "features": [1.0, 0.0]}\n'
+            f'{{"id": "f1", "features": [{bad}, 0.0]}}\n'
+            '{"id": "f2", "features": [1.0, 0.0]}\n'
+        )
+        model = tmp_path / "m.json"
+        encoder.save(encoder.init([2, 3], seed=1), model)
+        out = tmp_path / "v.csv"
+        assert run("video", "--model", model, "--frames", frames, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "aespace video: error: line 2: non-finite feature entry" in err
+        assert "model output" not in err
+        assert not out.exists()
+
+    def test_video_empty_frames_file(self, workspace, tmp_path, capsys):
+        frames = tmp_path / "empty.jsonl"
+        frames.write_text("\n")
+        out = tmp_path / "v.csv"
+        assert run("video", "--model", workspace["model"], "--frames", frames, "--out", out) == 1
+        assert f"aespace video: error: no frames in {frames}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ids_that_need_quoting_parse_back(self, tmp_path):

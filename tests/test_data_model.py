@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import stat
@@ -7,9 +8,9 @@ import threading
 import numpy as np
 import pytest
 
+from aespace import data_model
 from aespace.data_model import (
     Dataset,
-    ImageRecord,
     compute_score,
     load_dataset,
     save_dataset,
@@ -19,8 +20,23 @@ from aespace.data_model import (
 from aespace.errors import EmptyInputError, FormatError, ParseError, RecordError
 
 
-def make_record(rec_id, views, faves, features=(0.0, 1.0)):
-    return ImageRecord(id=rec_id, views=views, faves=faves, features=np.array(features, dtype=float))
+def make_dataset(counts):
+    """A dataset of (id, views, faves) rows, each with features (0, 1) and no latent score."""
+    n = len(counts)
+    ids, views, faves = (list(column) for column in zip(*counts)) if counts else ([], [], [])
+    return Dataset(ids, views, faves, np.tile([0.0, 1.0], (n, 1)), np.full(n, np.nan))
+
+
+def write_lines(path, objs):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+
+
+def rejections(caplog):
+    return [m for m in caplog.messages if m.startswith("rejected record")]
+
+
+# an integer that parses as a Python int but has no float64 value
+HUGE = int("1" + "0" * 400)
 
 
 class TestComputeScore:
@@ -74,9 +90,79 @@ class TestComputeScore:
 
 
 class TestRecordValidation:
-    def test_features_cast_to_float(self):
-        rec = make_record("a", 10, 2, [1, 2])
-        assert rec.features.dtype == np.float64
+    def test_features_cast_to_float(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "views": 10, "faves": 2, "features": [1, 2]}\n')
+        ds = load_dataset(path)
+        assert ds.features.dtype == np.float64
+        assert ds.features.tolist() == [[1.0, 2.0]]
+
+    def test_each_kind_of_rejection_is_named(self, tmp_path, caplog):
+        ok = {"id": "ok", "views": 100, "faves": 5, "features": [1.0, 2.0]}
+        write_lines(tmp_path / "d.jsonl", [
+            ok,
+            {**ok, "id": "v", "views": 1, "faves": 1},
+            {**ok, "id": "f0", "faves": 0},
+            {**ok, "id": "f1", "faves": 101},
+            {**ok, "id": "nan", "features": [float("nan"), 2.0]},
+            {**ok, "id": "lat", "latent_score": 2},
+            {**ok, "id": "latnan", "latent_score": float("nan")},
+            ok,
+        ])
+        with caplog.at_level("INFO"):
+            ds = load_dataset(tmp_path / "d.jsonl")
+        assert len(ds) == 1
+        assert rejections(caplog) == [
+            "rejected record at line 2 (views): views must be >= 2, got 1",
+            "rejected record at line 3 (faves): faves must be >= 1, got 0",
+            "rejected record at line 4 (faves): faves (101) exceeds views (100)",
+            "rejected record at line 5 (features): non-finite feature entry",
+            "rejected record at line 6 (latent_score): latent_score 2.0 outside [0, 1]",
+            "rejected record at line 7 (latent_score): latent_score nan outside [0, 1]",
+            "rejected record at line 8 (id): duplicate id 'ok'",
+        ]
+        assert f"load_dataset({tmp_path / 'd.jsonl'}): rejected 7 record(s)" in caplog.messages
+
+    def test_bad_views_and_features_reported_as_views(self, tmp_path, caplog):
+        write_lines(tmp_path / "d.jsonl", [
+            {"id": "x", "views": 0, "faves": 5, "features": [float("inf"), 1.0]},
+        ])
+        with caplog.at_level("WARNING"):
+            assert len(load_dataset(tmp_path / "d.jsonl")) == 0
+        assert rejections(caplog) == ["rejected record at line 1 (views): views must be >= 2, got 0"]
+
+    def test_rejected_record_does_not_claim_its_id(self, tmp_path):
+        kept = {"id": "x", "views": 100, "faves": 5, "features": [2.0]}
+        write_lines(tmp_path / "d.jsonl", [{**kept, "faves": 500, "features": [1.0]}, kept])
+        save_dataset(load_dataset(tmp_path / "d.jsonl"), tmp_path / "out.jsonl")
+        assert (tmp_path / "out.jsonl").read_text() == json.dumps(kept) + "\n"
+
+    @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["positive", "negative"])
+    def test_feature_beyond_float_range_rejects_only_its_record(self, tmp_path, caplog, value):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id": "a", "views": 100, "faves": 5, "features": [1, 2]}\n'
+            f'{{"id": "b", "views": 100, "faves": 5, "features": [1, {value}]}}\n'
+            '{"id": "c", "views": 100, "faves": 5, "features": [3, 4.5]}\n'
+        )
+        with caplog.at_level("WARNING"):
+            ds = load_dataset(path)
+        assert ds.ids == ["a", "c"]
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+        assert rejections(caplog) == ["rejected record at line 2 (features): non-finite feature entry"]
+
+    def test_latent_score_beyond_float_range_rejected(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            f'{{"id": "a", "views": 100, "faves": 5, "features": [1.0], "latent_score": {HUGE}}}\n'
+            '{"id": "b", "views": 100, "faves": 5, "features": [1.0], "latent_score": 1e400}\n'
+        )
+        with caplog.at_level("WARNING"):
+            assert len(load_dataset(path)) == 0
+        assert rejections(caplog) == [
+            "rejected record at line 1 (latent_score): latent_score inf outside [0, 1]",
+            "rejected record at line 2 (latent_score): latent_score inf outside [0, 1]",
+        ]
 
 
 class TestLoadSave:
@@ -93,7 +179,7 @@ class TestLoadSave:
         ds = load_dataset(path)
         assert len(ds) == 1
         assert ds.d_in == 2
-        assert ds.records[0].id == "x"
+        assert ds.ids == ["x"]
 
     def test_invalid_views_soft_rejected(self, tmp_path, caplog):
         path = tmp_path / "d.jsonl"
@@ -103,7 +189,7 @@ class TestLoadSave:
         )
         with caplog.at_level("WARNING"):
             ds = load_dataset(path)
-        assert [r.id for r in ds.records] == ["ok"]
+        assert ds.ids == ["ok"]
         assert any("line 1" in m for m in caplog.messages)
 
     def test_faves_above_views_soft_rejected(self, tmp_path):
@@ -157,44 +243,82 @@ class TestLoadSave:
         assert len(load_dataset(path)) == 0
 
     def test_round_trip_exact(self, tmp_path):
-        records = [
-            ImageRecord("a", 1000, 10, np.array([0.1, 1.0 / 3.0]), latent_score=0.25),
-            ImageRecord("b", 12345, 678, np.array([1e-17, -2.5])),
-        ]
-        ds = Dataset(records=records, d_in=2)
+        ds = Dataset(["a", "b"], [1000, 12345], [10, 678],
+                     np.array([[0.1, 1.0 / 3.0], [1e-17, -2.5]]), np.array([0.25, np.nan]))
         path = tmp_path / "d.jsonl"
         save_dataset(ds, path)
         loaded = load_dataset(path)
         assert len(loaded) == 2
-        for orig, back in zip(records, loaded.records):
-            assert back.id == orig.id
-            assert back.views == orig.views
-            assert back.faves == orig.faves
-            assert np.array_equal(back.features, orig.features)
-            assert back.latent_score == orig.latent_score
+        assert loaded.ids == ds.ids
+        assert loaded.views == ds.views
+        assert loaded.faves == ds.faves
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.latent_scores, ds.latent_scores, equal_nan=True)
+
+    def test_rows_across_conversion_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_model, "_BLOCK_ROWS", 2)
+        path = tmp_path / "d.jsonl"
+        rows = [{"id": f"r{i}", "views": 100, "faves": 5, "features": [i, 0.5]} for i in range(5)]
+        rows[2]["features"] = [HUGE, 0.5]
+        write_lines(path, rows)
+        ds = load_dataset(path)
+        assert ds.ids == ["r0", "r1", "r3", "r4"]
+        assert ds.features.tolist() == [[0.0, 0.5], [1.0, 0.5], [3.0, 0.5], [4.0, 0.5]]
+        rows[3]["features"] = [3.0]
+        write_lines(path, rows)
+        with pytest.raises(FormatError, match="line 4: feature length 1 != 2"):
+            load_dataset(path)
+
+    def test_mixed_latent_scores_round_trip_byte_identical(self, tmp_path):
+        source = tmp_path / "in.jsonl"
+        write_lines(source, [
+            {"id": "a", "views": 1000, "faves": 10, "features": [0.1, -0.0], "latent_score": 0.25},
+            {"id": "b", "views": 12345, "faves": 678, "features": [1e-17, -2.5]},
+            {"id": "c", "views": 7, "faves": 7, "features": [3.0, 1.0 / 3.0], "latent_score": 1.0},
+            {"id": "d", "views": 2, "faves": 1, "features": [5e-324, 1e308], "latent_score": 0.0},
+            {"id": "e", "views": 99, "faves": 98, "features": [2.0, 4.0]},
+        ])
+        out = tmp_path / "out.jsonl"
+        save_dataset(load_dataset(source), out)
+        assert out.read_bytes() == source.read_bytes()
+
+    def test_counts_of_any_size_round_trip(self, tmp_path):
+        source = tmp_path / "in.jsonl"
+        write_lines(source, [{"id": "a", "views": 10**20, "faves": 10**19, "features": [1.0]}])
+        ds = load_dataset(source)
+        assert ds.scores().tolist() == [math.log(10**19) / math.log(10**20)]
+        out = tmp_path / "out.jsonl"
+        save_dataset(ds, out)
+        assert out.read_bytes() == source.read_bytes()
+
+    def test_score_is_per_record_math_log(self, tmp_path):
+        # np.log(3) / np.log(9170) is 0.12041312010582254, one ulp away
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [{"id": "synth-005342", "views": 9170, "faves": 3, "features": [0.0]}])
+        assert load_dataset(path).scores().tolist() == [0.12041312010582252]
 
 
 class TestScoreHistogram:
     def test_two_scores_two_bins(self):
         # V=1024: F=2 gives score 0.1 exactly, F=512 gives 0.9 exactly
-        ds = Dataset(records=[make_record("a", 1024, 2), make_record("b", 1024, 512)], d_in=2)
+        ds = make_dataset([("a", 1024, 2), ("b", 1024, 512)])
         edges, counts = score_histogram(ds, 2)
         assert list(counts) == [1, 1]
         np.testing.assert_allclose(edges, [0.0, 0.5, 1.0])
 
     def test_score_one_lands_in_last_bin(self):
-        ds = Dataset(records=[make_record(f"r{i}", 50, 50) for i in range(5)], d_in=2)
+        ds = make_dataset([(f"r{i}", 50, 50) for i in range(5)])
         _, counts = score_histogram(ds, 4)
         assert list(counts) == [0, 0, 0, 5]
 
     def test_counts_sum_to_size(self):
         rng = np.random.default_rng(3)
-        records = []
+        counts = []
         for i in range(200):
             v = int(rng.integers(2, 10**5))
             f = int(rng.integers(1, v + 1))
-            records.append(make_record(f"r{i}", v, f))
-        ds = Dataset(records=records, d_in=2)
+            counts.append((f"r{i}", v, f))
+        ds = make_dataset(counts)
         edges, counts = score_histogram(ds, 7)
         assert counts.sum() == 200
         assert edges[0] == 0.0 and edges[-1] == 1.0
@@ -202,15 +326,15 @@ class TestScoreHistogram:
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyInputError):
-            score_histogram(Dataset(records=[], d_in=None), 4)
+            score_histogram(make_dataset([]), 4)
 
     def test_bad_bin_count_raises(self):
-        ds = Dataset(records=[make_record("a", 10, 2)], d_in=2)
+        ds = make_dataset([("a", 10, 2)])
         with pytest.raises(ValueError):
             score_histogram(ds, 0)
 
     def test_csv_output(self, tmp_path):
-        ds = Dataset(records=[make_record("a", 1024, 2), make_record("b", 1024, 512)], d_in=2)
+        ds = make_dataset([("a", 1024, 2), ("b", 1024, 512)])
         edges, counts = score_histogram(ds, 2)
         path = tmp_path / "h.csv"
         rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import kendalltau, ortho_group
 
 from aespace import cli, encoder
-from aespace.data_model import Dataset, ImageRecord, save_dataset
+from aespace.data_model import Dataset, save_dataset
 from aespace.errors import ConfigError, InputError, NonFiniteError
 from aespace.ranker import (
     embed,
@@ -79,11 +79,9 @@ def identity_params(dim):
 
 
 def make_dataset(feature_rows, ids=None):
-    records = []
-    for i, feats in enumerate(feature_rows):
-        rec_id = ids[i] if ids else f"r{i}"
-        records.append(ImageRecord(rec_id, 100, 5, np.asarray(feats, dtype=float)))
-    return Dataset(records=records, d_in=len(feature_rows[0]))
+    n = len(feature_rows)
+    return Dataset(ids or [f"r{i}" for i in range(n)], [100] * n, [5] * n,
+                   np.asarray(feature_rows, dtype=float), np.full(n, np.nan))
 
 
 class TestProjectionScore:
@@ -140,7 +138,7 @@ class TestRankCollection:
         assert len({rid for rid, _ in ranked}) == 25
 
     def test_empty_dataset(self):
-        ds = Dataset(records=[], d_in=None)
+        ds = Dataset([], [], [], np.empty((0, 0)), np.empty(0))
         assert rank_collection(identity_params(2), ds) == []
 
     def test_dimension_mismatch(self):
@@ -320,10 +318,8 @@ class TestOutputs:
     def test_agreement_csv(self, tmp_path):
         # scores 0 and 1/3: the one pair is ordered the same way by the
         # norms, and no pair is more than 0.5 apart
-        ds = Dataset(records=[
-            ImageRecord("low", 1000, 1, np.array([1.0, 0.0])),
-            ImageRecord("high", 1000, 10, np.array([2.0, 0.0])),
-        ], d_in=2)
+        ds = Dataset(["low", "high"], [1000, 1000], [1, 10],
+                     np.array([[1.0, 0.0], [2.0, 0.0]]), np.full(2, np.nan))
         lines = run_on_identity_model(tmp_path, "eval", ds, "--thresholds", "0.1,0.5")
         assert lines[0] == "delta,pairs,agreement"
         assert lines[1] == "0.1,1,1.0"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aespace.data_model import compute_score, score_histogram, validate_record
+from aespace.data_model import compute_score, load_dataset, save_dataset, score_histogram
 from aespace.errors import ConfigError
 from aespace.synth import (
     BASIS_SIZE,
@@ -50,27 +50,27 @@ class TestGenerate:
         cfg = SynthConfig(n=40, d_in=6, noise_sigma=0.1, seed=123)
         a = generate(cfg)
         b = generate(cfg)
-        assert [r.id for r in a.records] == [r.id for r in b.records]
-        for ra, rb in zip(a.records, b.records):
-            assert ra.views == rb.views
-            assert ra.faves == rb.faves
-            assert np.array_equal(ra.features, rb.features)
-            assert ra.latent_score == rb.latent_score
+        assert a.ids == b.ids
+        assert a.views == b.views
+        assert a.faves == b.faves
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.latent_scores, b.latent_scores)
 
-    def test_records_pass_validation(self):
+    def test_records_pass_validation(self, tmp_path):
         cfg = SynthConfig(n=100, d_in=4, noise_sigma=0.3, seed=5)
         ds = generate(cfg)
         assert len(ds) == 100
         assert ds.d_in == 4
-        for rec in ds.records:
-            validate_record(rec)
-            assert cfg.view_range[0] <= rec.views <= cfg.view_range[1]
-            assert 0.0 <= rec.latent_score <= 1.0
+        assert ds.features.shape == (100, 4)
+        assert all(cfg.view_range[0] <= v <= cfg.view_range[1] for v in ds.views)
+        assert np.all((0.0 <= ds.latent_scores) & (ds.latent_scores <= 1.0))
+        # the loader validates every row and rejects none
+        save_dataset(ds, tmp_path / "d.jsonl")
+        assert load_dataset(tmp_path / "d.jsonl").ids == ds.ids
 
     def test_ids_unique(self):
         ds = generate(SynthConfig(n=50, d_in=3, seed=2))
-        ids = [r.id for r in ds.records]
-        assert len(set(ids)) == 50
+        assert len(set(ds.ids)) == 50
 
     def test_score_recovery_universal_bound(self):
         cfg = SynthConfig(n=300, d_in=4, noise_sigma=0.0, seed=11)
@@ -78,32 +78,32 @@ class TestGenerate:
         # faves = max(1, round(V**s)) lies within a factor 2 of V**s, so
         # ln(faves) / ln(V) is off by at most ln 2 / ln view_lo
         bound = math.log(2) / math.log(cfg.view_range[0])
-        for rec in ds.records:
-            assert abs(compute_score(rec.views, rec.faves) - rec.latent_score) <= bound
+        for v, f, s in zip(ds.views, ds.faves, ds.latent_scores):
+            assert abs(compute_score(v, f) - s) <= bound
 
     def test_score_recovery_tight_at_high_view_counts(self):
         # bound shrinks as log(view lo) grows; frozen seed keeps the max
         # observed error well under 0.02 at this range
         cfg = SynthConfig(n=100, d_in=4, noise_sigma=0.0, seed=13, view_range=(10**8, 10**9))
         ds = generate(cfg)
-        err = max(abs(compute_score(r.views, r.faves) - r.latent_score) for r in ds.records)
+        err = np.max(np.abs(ds.scores() - ds.latent_scores))
         assert err < 0.02
 
     def test_noise_free_features_follow_mixing_matrix(self):
         cfg = SynthConfig(n=30, d_in=5, noise_sigma=0.0, seed=9)
         ds = generate(cfg)
         mix = mixing_matrix(cfg)
-        for rec in ds.records:
-            np.testing.assert_array_equal(rec.features, mix @ basis(rec.latent_score))
+        for features, s in zip(ds.features, ds.latent_scores):
+            np.testing.assert_array_equal(features, mix @ basis(float(s)))
 
     def test_noise_changes_features_not_counts(self):
         clean = generate(SynthConfig(n=20, d_in=4, noise_sigma=0.0, seed=21))
         noisy = generate(SynthConfig(n=20, d_in=4, noise_sigma=0.5, seed=21))
-        for rc, rn in zip(clean.records, noisy.records):
-            assert rc.views == rn.views
-            assert rc.faves == rn.faves
-            assert rc.latent_score == rn.latent_score
-            assert not np.array_equal(rc.features, rn.features)
+        assert clean.views == noisy.views
+        assert clean.faves == noisy.faves
+        assert np.array_equal(clean.latent_scores, noisy.latent_scores)
+        for rc, rn in zip(clean.features, noisy.features):
+            assert not np.array_equal(rc, rn)
 
     def test_mixing_matrix_rows_unit_norm(self):
         mix = mixing_matrix(SynthConfig(n=1, d_in=7, seed=4))

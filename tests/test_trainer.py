@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aespace import cli, encoder
-from aespace.data_model import Dataset, ImageRecord, save_dataset
+from aespace.data_model import Dataset, save_dataset
 from aespace.errors import ConfigError, DivergenceError
 from aespace.loss import LossConfig
 from aespace.sampler import SamplerConfig
@@ -42,8 +42,7 @@ class TestConfig:
             TrainConfig(**kwargs).validate()
 
     def test_needs_three_records(self):
-        rec = ImageRecord("a", 100, 5, np.zeros(2))
-        ds = Dataset(records=[rec], d_in=2)
+        ds = Dataset(["a"], [100], [5], np.zeros((1, 2)), np.full(1, np.nan))
         with pytest.raises(ConfigError):
             train(ds, TrainConfig(max_steps=1))
 
@@ -90,11 +89,8 @@ class TestGradientAveraging:
     def test_batch_of_identical_triplets_matches_batch_size_one(self):
         # anchor-referenced window tightened around one ratio so exactly one
         # ordered triple is admissible; every batch then repeats it
-        records = []
-        for i, (v, f) in enumerate([(1000, 2), (1000, 4), (1000, 501)]):
-            feats = np.array([0.1 * (i + 1), -0.2 * i, 0.05, 0.3])
-            records.append(ImageRecord(f"r{i}", v, f, feats))
-        ds = Dataset(records=records, d_in=4)
+        features = np.array([[0.1 * (i + 1), -0.2 * i, 0.05, 0.3] for i in range(3)])
+        ds = Dataset(["r0", "r1", "r2"], [1000] * 3, [2, 4, 501], features, np.full(3, np.nan))
         scores = ds.scores()
         ratio = abs(scores[0] - scores[1]) / abs(scores[0] - scores[2])
         smp = SamplerConfig(alpha=ratio * 0.999, beta=ratio * 1.001, pair_ref="anchor")
