@@ -229,7 +229,8 @@ def _cmd_train(args):
             directional_enabled=not args.no_directional,
             literal_sign_form=args.literal_sign,
         ),
-        sampler=SamplerConfig(alpha=args.alpha, beta=args.beta, pair_ref=args.pair_ref),
+        sampler=SamplerConfig(alpha=args.alpha, beta=args.beta, pair_ref=args.pair_ref,
+                              seed=trainer.derive_seeds(seed)[1]),
     ))
     dataset = data_model.load_dataset(args.input)
     params, log = trainer.train(dataset, config)

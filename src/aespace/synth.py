@@ -47,8 +47,8 @@ class SynthConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.d_in < 2:
             raise ConfigError(f"d_in must be >= 2, got {self.d_in}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         lo, hi = self.view_range
         if lo < 100:
             raise ConfigError(f"view_range.lo must be >= 100, got {lo}")

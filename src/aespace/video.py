@@ -5,7 +5,10 @@ embedding norm. The raw score signal is smoothed by a causal scalar Kalman
 filter with a constant-position state model (the simplest model that
 smooths a scalar), then key frames are picked at the smoothed signal's
 peaks. No backward smoothing pass: each output depends only on frames seen
-so far, matching live processing.
+so far, matching live processing. Peak picking compares each run of equal
+values with its neighbours, finds both prominence bases with one stack pass
+each way, and thins tallest first over a mask of blocked frames: O(n + k log k
++ k * min_separation) for n frames and k candidates.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import encoder, ranker
 from .data_model import _read_columns
-from .errors import ConfigError, EmptyInputError, FormatError, ShapeError
+from .errors import ConfigError, EmptyInputError, FormatError, NonFiniteError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,12 @@ class KalmanConfig:
     x0: float | None = None
 
     def validate(self) -> None:
-        if self.q < 0:
-            raise ConfigError(f"process noise q must be >= 0, got {self.q}")
-        if self.r <= 0:
+        if not 0 <= self.q < np.inf:
+            raise ConfigError(f"process noise q must be finite and >= 0, got {self.q}")
+        if not self.r > 0:
             raise ConfigError(f"measurement noise r must be > 0, got {self.r}")
-        if self.p0 <= 0:
-            raise ConfigError(f"initial variance p0 must be > 0, got {self.p0}")
+        if not 0 < self.p0 < np.inf:
+            raise ConfigError(f"initial variance p0 must be finite and > 0, got {self.p0}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class PeakConfig:
     def validate(self) -> None:
         if self.min_separation < 1:
             raise ConfigError(f"min_separation must be >= 1, got {self.min_separation}")
-        if self.min_prominence < 0:
+        if not self.min_prominence >= 0:
             raise ConfigError(f"min_prominence must be >= 0, got {self.min_prominence}")
 
 
@@ -103,28 +106,30 @@ def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:
     return out
 
 
+def _left_bases(heights: list[float]) -> list[float]:
+    """Per index, the minimum back to the nearest strictly higher value or the border."""
+    stack: list[tuple[float, float]] = []  # (height, minimum of its stretch)
+    bases = []
+    for h in heights:
+        low = h
+        while stack and stack[-1][0] <= h:
+            low = min(low, stack.pop()[1])
+        stack.append((h, low))
+        bases.append(low)
+    return bases
+
+
 def peak_prominences(series: np.ndarray, peaks: list[int]) -> list[float]:
     """Prominence of each peak index in ``series``.
 
-    On each side, scan to the nearest strictly higher value (or the signal
-    border); the base is the minimum over that stretch. Prominence is the
+    On each side, the base is the minimum over the stretch out to the
+    nearest strictly higher value (or the signal border). Prominence is the
     peak height minus the higher of the two bases.
     """
-    proms = []
-    for i in peaks:
-        height = series[i]
-        left = i
-        left_min = height
-        while left > 0 and series[left - 1] <= height:
-            left -= 1
-            left_min = min(left_min, series[left])
-        right = i
-        right_min = height
-        while right < series.size - 1 and series[right + 1] <= height:
-            right += 1
-            right_min = min(right_min, series[right])
-        proms.append(float(height - max(left_min, right_min)))
-    return proms
+    series = np.asarray(series, dtype=np.float64)
+    left = np.array(_left_bases(series.tolist()))
+    right = np.array(_left_bases(series[::-1].tolist()))[::-1]
+    return (series[peaks] - np.maximum(left[peaks], right[peaks])).tolist()
 
 
 def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
@@ -136,33 +141,34 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
     dropped, then the rest are kept greedily in descending height (ties by
     ascending index) subject to pairwise distance >= ``min_separation``.
     The surviving indices are returned ascending.
+
+    Raises:
+        EmptyInputError: The series is empty.
+        NonFiniteError: The series holds a NaN or infinite value.
     """
     config.validate()
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise EmptyInputError("detect_peaks needs a non-empty series")
+    if not np.isfinite(series).all():
+        raise NonFiniteError("detect_peaks needs a finite series")
 
-    candidates = []
-    i = 1
-    n = series.size
-    while i < n - 1:
-        if series[i] > series[i - 1]:
-            j = i
-            while j < n - 1 and series[j + 1] == series[i]:
-                j += 1
-            if j < n - 1 and series[j + 1] < series[i]:
-                candidates.append(i)
-            i = j + 1
-        else:
-            i += 1
+    # runs of equal values; an interior run above both neighbours is a peak
+    starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
+    runs = series[starts]
+    rise_fall = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
+    candidates = starts[1:-1][rise_fall]
 
-    proms = peak_prominences(series, candidates)
-    candidates = [c for c, pr in zip(candidates, proms) if pr >= config.min_prominence]
+    proms = np.array(peak_prominences(series, candidates))
+    candidates = candidates[proms >= config.min_prominence]
 
-    kept: list[int] = []
-    for c in sorted(candidates, key=lambda c: (-series[c], c)):
-        if all(abs(c - k) >= config.min_separation for k in kept):
+    sep = config.min_separation
+    blocked = np.zeros(series.size, dtype=bool)
+    kept = []
+    for c in candidates[np.argsort(-series[candidates], kind="stable")].tolist():
+        if not blocked[c]:
             kept.append(c)
+            blocked[max(c - sep + 1, 0) : c + sep] = True
     return sorted(kept)
 
 

@@ -57,6 +57,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("video", "--q", "nan"), ("video", "--r", "nan"), ("video", "--min-prom", "nan"),
+        ("synth", "--n", "10", "--din", "4", "--noise", "nan"),
+    ])
+    def test_nan_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
+        if argv[0] == "video":
+            argv += ("--model", workspace["model"], "--frames", workspace["dataset"])
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_alpha_beta_order_rejected(self, workspace, tmp_path, capsys):
         code = run(
             "sample", "--input", workspace["dataset"], "--alpha", "0.9",
@@ -252,6 +264,10 @@ class TestOutputs:
         assert set(meta["outputs"]) == {str(workspace["model"]), str(workspace["log"])}
         assert meta["artifact_version"] == cli.__version__
         assert meta["duration_s"] >= 0.0
+
+    def test_meta_records_sampler_seed_in_use(self, workspace):
+        meta = read_meta(workspace["model"])
+        assert meta["config"]["sampler"]["seed"] == trainer.derive_seeds(7)[1]
 
     def test_train_zero_steps_writes_initial_model(self, workspace, tmp_path):
         model_path = tmp_path / "init.json"

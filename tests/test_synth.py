@@ -26,6 +26,8 @@ class TestConfig:
             dict(n=0, d_in=4),
             dict(n=10, d_in=1),
             dict(n=10, d_in=4, noise_sigma=-0.1),
+            dict(n=10, d_in=4, noise_sigma=float("nan")),
+            dict(n=10, d_in=4, noise_sigma=float("inf")),
             dict(n=10, d_in=4, view_range=(99, 1000)),
             dict(n=10, d_in=4, view_range=(1000, 1000)),
             dict(n=10, d_in=4, view_range=(2000, 1000)),

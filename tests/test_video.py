@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aespace import cli, encoder
-from aespace.errors import ConfigError, EmptyInputError, FormatError, ParseError, ShapeError
+from aespace.errors import (
+    ConfigError,
+    EmptyInputError,
+    FormatError,
+    NonFiniteError,
+    ParseError,
+    ShapeError,
+)
 from aespace.video import (
     KalmanConfig,
     PeakConfig,
@@ -22,15 +31,69 @@ def identity_params(dim):
     return params
 
 
+def oracle_prominences(series, peaks):
+    """The two outward scans per peak that ``peak_prominences`` replaced."""
+    proms = []
+    for i in peaks:
+        height = series[i]
+        left = i
+        left_min = height
+        while left > 0 and series[left - 1] <= height:
+            left -= 1
+            left_min = min(left_min, series[left])
+        right = i
+        right_min = height
+        while right < series.size - 1 and series[right + 1] <= height:
+            right += 1
+            right_min = min(right_min, series[right])
+        proms.append(float(height - max(left_min, right_min)))
+    return proms
+
+
+def oracle_peaks(series, config):
+    """The index walk and all-kept-peaks thinning that ``detect_peaks`` replaced."""
+    series = np.asarray(series, dtype=np.float64)
+    candidates = []
+    i = 1
+    n = series.size
+    while i < n - 1:
+        if series[i] > series[i - 1]:
+            j = i
+            while j < n - 1 and series[j + 1] == series[i]:
+                j += 1
+            if j < n - 1 and series[j + 1] < series[i]:
+                candidates.append(i)
+            i = j + 1
+        else:
+            i += 1
+
+    proms = oracle_prominences(series, candidates)
+    candidates = [c for c, pr in zip(candidates, proms) if pr >= config.min_prominence]
+
+    kept: list[int] = []
+    for c in sorted(candidates, key=lambda c: (-series[c], c)):
+        if all(abs(c - k) >= config.min_separation for k in kept):
+            kept.append(c)
+    return sorted(kept)
+
+
 class TestConfigs:
     @pytest.mark.parametrize(
-        "kwargs", [dict(q=-1e-9), dict(r=0.0), dict(r=-1.0), dict(p0=0.0)]
+        "kwargs",
+        [
+            dict(q=-1e-9), dict(r=0.0), dict(r=-1.0), dict(p0=0.0),
+            dict(q=float("nan")), dict(r=float("nan")), dict(p0=float("nan")),
+            dict(q=float("inf")), dict(p0=float("inf")),
+        ],
     )
     def test_invalid_kalman(self, kwargs):
         with pytest.raises(ConfigError):
             KalmanConfig(**kwargs).validate()
 
-    @pytest.mark.parametrize("kwargs", [dict(min_separation=0), dict(min_prominence=-0.1)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(min_separation=0), dict(min_prominence=-0.1), dict(min_prominence=float("nan"))],
+    )
     def test_invalid_peaks(self, kwargs):
         with pytest.raises(ConfigError):
             PeakConfig(**kwargs).validate()
@@ -186,6 +249,24 @@ class TestDetectPeaks:
                     and (series[k] > series[c] or (series[k] == series[c] and k < c))
                 ]
                 assert blockers, f"candidate {c} dropped without cause"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_series_raises(self, bad):
+        with pytest.raises(NonFiniteError):
+            detect_peaks([0.0, 1.0, bad, 1.0, 0.0])
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 4), min_size=1, max_size=59),
+        sep=st.integers(1, 7),
+        prom=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    def test_matches_loop_oracle_on_ties(self, values, sep, prom):
+        series = np.array(values, dtype=np.float64)
+        every = list(range(series.size))
+        assert peak_prominences(series, every) == oracle_prominences(series, every)
+        cfg = PeakConfig(min_separation=sep, min_prominence=prom)
+        assert detect_peaks(values, cfg) == oracle_peaks(series, cfg)
 
 
 class TestFrameIO:
