@@ -76,22 +76,40 @@ def _as_batch(x, d_in):
     return x, single
 
 def _forward_pass(params, x):
-    """Returns pre-activations z per layer and post-activations h (h[0] = x)."""
+    """Post-activations per layer (h[0] = x), each bias add and rectifier in place."""
     h = [x]
-    zs = []
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h[-1] @ w.T + b
-        zs.append(z)
-        h.append(z if k == last else np.maximum(z, 0.0))
-    return zs, h
+        z = h[-1] @ w.T
+        z += b
+        if k != last:
+            np.maximum(z, 0.0, out=z)
+        h.append(z)
+    return h
+
+
+def _backward_pass(params, h, grad, grads_out: EncoderGrads) -> np.ndarray:
+    """Writes the parameter gradients of sum_i <grad[i], h[-1][i]> into ``grads_out``.
+
+    ``h`` is what ``_forward_pass`` returned. A hidden unit passes gradient
+    iff its post-activation is positive, which is the same mask as z > 0.
+    Returns the gradient wrt the first layer's pre-activation; the input
+    gradient, one product with the first weight matrix away, is not formed.
+    """
+    delta = grad
+    for k in range(len(params.weights) - 1, -1, -1):
+        np.matmul(delta.T, h[k], out=grads_out.weights[k])
+        np.add.reduce(delta, axis=0, out=grads_out.biases[k])
+        if k > 0:
+            delta = delta @ params.weights[k]
+            delta *= h[k] > 0.0
+    return delta
 
 
 def forward(params: EncoderParams, x) -> np.ndarray:
     """Embed one feature vector (1-D) or a stack of them (2-D, row-wise)."""
     xb, single = _as_batch(x, params.d_in)
-    _, h = _forward_pass(params, xb)
-    out = h[-1]
+    out = _forward_pass(params, xb)[-1]
     return out[0] if single else out
 
 
@@ -109,20 +127,13 @@ def backward(params: EncoderParams, x, grad_phi) -> tuple[EncoderGrads, np.ndarr
     if gb.shape != (xb.shape[0], params.d_out):
         raise ShapeError(f"grad_phi shape {np.asarray(grad_phi).shape} incompatible with output dim {params.d_out}")
 
-    zs, h = _forward_pass(params, xb)
-    d_weights = [np.empty_like(w) for w in params.weights]
-    d_biases = [np.empty_like(b) for b in params.biases]
-
-    delta = gb
-    for k in range(len(params.weights) - 1, -1, -1):
-        d_weights[k] = delta.T @ h[k]
-        d_biases[k] = delta.sum(axis=0)
-        delta = delta @ params.weights[k]
-        if k > 0:
-            delta = delta * (zs[k - 1] > 0.0)
-
-    grad_x = delta[0] if single else delta
-    return EncoderGrads(weights=d_weights, biases=d_biases), grad_x
+    grads = EncoderGrads(
+        weights=[np.empty_like(w) for w in params.weights],
+        biases=[np.empty_like(b) for b in params.biases],
+    )
+    delta = _backward_pass(params, _forward_pass(params, xb), gb, grads)
+    grad_x = delta @ params.weights[0]
+    return grads, grad_x[0] if single else grad_x
 
 
 def save(params: EncoderParams, path: str | Path) -> None:

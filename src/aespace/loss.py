@@ -21,11 +21,15 @@ gradient of |x| at x = 0 is the zero vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
+
+
+_TRIPLET_GRAD_SCALE = np.array([2.0, -2.0, 2.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,12 @@ class LossConfig:
     margin_md: float = 0.1
     directional_enabled: bool = True
     literal_sign_form: bool = False
+
+    def validate(self) -> None:
+        if not (math.isfinite(self.margin_m) and math.isfinite(self.margin_md)):
+            raise ConfigError(
+                f"margins must be finite, got margin_m={self.margin_m}, margin_md={self.margin_md}"
+            )
 
 
 @dataclass
@@ -52,68 +62,74 @@ class TripletLossResult:
     grad_n: np.ndarray
 
 
-def _check_same_shape(*vectors):
-    dims = {np.asarray(v).shape for v in vectors}
-    if len(dims) != 1:
-        raise ShapeError(f"embedding shapes differ: {sorted(dims)}")
+def batch_loss(emb, s_a, s_n, config: LossConfig):
+    """Per-triplet losses and exact gradients for a batch of B triplets.
 
-
-def batch_loss(ea, ep, en, s_a, s_n, config: LossConfig):
-    """Per-triplet losses and exact gradients for a batch of triplets.
-
-    Row i of the (B, d) embedding arrays ``ea``, ``ep`` and ``en`` is one
-    triplet; ``s_a`` and ``s_n`` hold the anchor and negative scores.
+    ``emb`` stacks the embeddings as one (3B, d) array: rows [0, B) are the
+    anchors, [B, 2B) the positives and [2B, 3B) the negatives, so row i of
+    each block is one triplet. ``s_a`` and ``s_n`` hold the B anchor and
+    negative scores.
 
     Returns:
-        (l_e, l_d, grad_a, grad_p, grad_n): the two loss terms per row
-        (length B) and the gradient rows wrt each embedding array.
+        (l_e, l_d, grad): the two loss terms per triplet (length B) and the
+        gradient wrt ``emb`` in the same stacked layout.
 
     Raises:
-        ShapeError: The three embedding arrays differ in shape.
+        ShapeError: ``emb`` is not 2-D with three rows per score.
     """
-    _check_same_shape(ea, ep, en)
-    dap = ea - ep
-    dan = ea - en
-    e_arg = config.margin_m + np.sum(dap * dap, axis=1) - np.sum(dan * dan, axis=1)
+    b = len(s_a)
+    if emb.ndim != 2 or emb.shape[0] != 3 * b:
+        raise ShapeError(f"stacked embeddings {emb.shape} do not hold 3 x {b} rows")
+    emb3 = emb.reshape(3, b, emb.shape[1])
+    ea, ep, en = emb3
+    grad = np.empty_like(emb)
+    g3 = grad.reshape(emb3.shape)
+    g_a, g_p, g_n = g3
+    np.subtract(en, ep, out=g_a)
+    np.subtract(ea, ep, out=g_p)
+    np.subtract(ea, en, out=g_n)
+    sq_ap, sq_an = np.add.reduce(g3[1:] * g3[1:], 2)
+    e_arg = config.margin_m + sq_ap - sq_an
     l_e = np.maximum(e_arg, 0.0)
-    act_e = (e_arg > 0.0)[:, None]
-    grad_a = np.where(act_e, 2.0 * (en - ep), 0.0)
-    grad_p = np.where(act_e, -2.0 * dap, 0.0)
-    grad_n = np.where(act_e, 2.0 * dan, 0.0)
+    # rows 2(n - p), -2(a - p) and 2(a - n) while the hinge is active, else zero
+    g3 *= _TRIPLET_GRAD_SCALE
+    g3[:, ~(e_arg > 0.0)] = 0.0
 
-    l_d = np.zeros_like(l_e)
-    if config.directional_enabled:
-        sign = np.sign(s_n - s_a)
-        norm_a = np.linalg.norm(ea, axis=1)
-        norm_n = np.linalg.norm(en, axis=1)
-        if config.literal_sign_form:
-            arg = norm_a - norm_n + config.margin_md
-            l_d = np.where(sign != 0.0, sign * np.maximum(arg, 0.0), 0.0)
-        else:
-            arg = config.margin_md + sign * (norm_a - norm_n)
-            l_d = np.where(sign != 0.0, np.maximum(arg, 0.0), 0.0)
-        # d|x|/dx = x/|x|, zero vector at the origin
-        unit_a = np.divide(ea, norm_a[:, None], out=np.zeros_like(ea), where=norm_a[:, None] > 0)
-        unit_n = np.divide(en, norm_n[:, None], out=np.zeros_like(en), where=norm_n[:, None] > 0)
-        coeff = (sign * ((sign != 0.0) & (arg > 0.0)))[:, None]
-        grad_a = grad_a + coeff * unit_a
-        grad_n = grad_n - coeff * unit_n
-    return l_e, l_d, grad_a, grad_p, grad_n
+    if not config.directional_enabled:
+        return l_e, np.zeros_like(l_e), grad
+    sign = np.sign(s_n - s_a)
+    ends = emb3[::2]
+    norm_a, norm_n = norms = np.sqrt(np.add.reduce(ends * ends, 2))
+    if config.literal_sign_form:
+        arg = norm_a - norm_n + config.margin_md
+        l_d = sign * np.maximum(arg, 0.0)
+    else:
+        arg = config.margin_md + sign * (norm_a - norm_n)
+        l_d = np.maximum(arg, 0.0)
+    tie = sign == 0.0
+    l_d[tie] = 0.0
+    # d|x|/dx = x/|x|, zero vector at the origin
+    units = np.divide(ends, norms[..., None], out=np.zeros_like(ends), where=norms[..., None] > 0)
+    units *= (sign * (~tie & (arg > 0.0)))[:, None]
+    g_a += units[0]
+    g_n -= units[1]
+    return l_e, l_d, grad
 
 
 def directional_triplet_loss(
     phi_a, phi_p, phi_n, score_a: float, score_n: float, config: LossConfig
 ) -> TripletLossResult:
     """Combined loss of one triplet and its exact gradients wrt each embedding."""
-    rows = [np.asarray(v, dtype=np.float64).reshape(1, -1) for v in (phi_a, phi_p, phi_n)]
-    l_e, l_d, grad_a, grad_p, grad_n = batch_loss(
-        *rows, np.array([score_a]), np.array([score_n]), config
-    )
+    dims = {np.asarray(v).shape for v in (phi_a, phi_p, phi_n)}
+    if len(dims) != 1:
+        raise ShapeError(f"embedding shapes differ: {sorted(dims)}")
+    emb = np.array([phi_a, phi_p, phi_n], dtype=np.float64).reshape(3, -1)
+    l_e, l_d, grad = batch_loss(emb, np.array([score_a]), np.array([score_n]), config)
     return TripletLossResult(
         l_e=float(l_e[0]),
         l_d=float(l_d[0]),
         total=float(l_e[0]) + float(l_d[0]),
-        grad_a=grad_a[0],
-        grad_p=grad_p[0],
-        grad_n=grad_n[0],
+        grad_a=grad[0],
+        grad_p=grad[1],
+        grad_n=grad[2],
     )

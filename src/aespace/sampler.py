@@ -75,15 +75,15 @@ class TripletSampler:
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(config.seed)
         self._since_accept = 0
-        self._buf = None
-        self._pos = 0
+        self._pos = _CHUNK  # position of the next pending proposal; _CHUNK = none left
 
     def _refill(self):
+        """Draws the next chunk of proposals and indexes its acceptances once."""
         n = self.scores.size
         idx = self._rng.integers(0, n, size=(_CHUNK, 3))
-        a, p, neg = idx[:, 0], idx[:, 1], idx[:, 2]
+        a, p, neg = idx.T
         distinct = (a != p) & (a != neg) & (p != neg)
-        s_a, s_p, s_n = self.scores[a], self.scores[p], self.scores[neg]
+        s_a, s_p, s_n = self.scores[idx].T
         if self.config.pair_ref == "mean":
             ref = 0.5 * (s_a + s_p)
         else:
@@ -97,8 +97,14 @@ class TripletSampler:
             & (ratio > self.config.alpha)
             & (ratio < self.config.beta)
         )
-        self._buf = (idx, distinct, accept, ratio, ref > s_n)
+        self._hits = hits = np.flatnonzero(accept)
+        # distinct proposals in positions [i, j) number seen[j] - seen[i]
+        self._seen = np.zeros(_CHUNK + 1, dtype=np.int64)
+        np.cumsum(distinct, out=self._seen[1:])
+        # accepted proposals in order: (3, m) indices, pair_above flags, ratios
+        self._accepted = (idx[hits].T, (ref > s_n)[hits], ratio[hits])
         self._pos = 0
+        self._next_hit = 0
 
     def collect_indices(self, k: int):
         """Accept ``k`` triplets; returns index/flag/ratio arrays of length k.
@@ -119,43 +125,39 @@ class TripletSampler:
                 np.empty(0, dtype=bool),
                 empty,
             )
-        rows = []
+        parts = []
         got = 0
         while got < k:
-            if self._buf is None or self._pos >= _CHUNK:
+            if self._pos >= _CHUNK:
                 self._refill()
-            idx, distinct, accept, ratio, above = self._buf
-            pos = self._pos
-            hits = np.flatnonzero(accept[pos:])
-            need = k - got
-            if hits.size >= need:
-                cut = pos + int(hits[need - 1]) + 1
-                take = pos + hits[:need]
+            hits, seen = self._hits, self._seen
+            first = self._next_hit
+            stop = first + k - got
+            if stop <= hits.size:
+                cut = int(hits[stop - 1]) + 1
             else:
+                stop = hits.size
                 cut = _CHUNK
-                take = pos + hits
-            consumed_distinct = int(np.count_nonzero(distinct[pos:cut]))
+            consumed_distinct = int(seen[cut] - seen[self._pos])
             self.stats.proposed += consumed_distinct
-            self.stats.accepted += take.size
-            if take.size:
+            self.stats.accepted += stop - first
+            if stop > first:
                 # proposals after the stretch's last acceptance stay pending
-                last = int(take[-1])
-                self._since_accept = int(np.count_nonzero(distinct[last + 1 : cut]))
+                self._since_accept = int(seen[cut] - seen[hits[stop - 1] + 1])
+                parts.append(tuple(arr[..., first:stop] for arr in self._accepted))
+                got += stop - first
             else:
                 self._since_accept += consumed_distinct
-            if take.size:
-                rows.append(
-                    (idx[take], above[take].copy(), ratio[take].copy())
-                )
-                got += take.size
             self._pos = cut
+            self._next_hit = stop
             if got < k and self._since_accept >= self.config.max_proposals:
                 raise SamplerStarvationError(self._since_accept, self.stats.acceptance_rate)
 
-        idx = np.concatenate([r[0] for r in rows])
-        above = np.concatenate([r[1] for r in rows])
-        ratio = np.concatenate([r[2] for r in rows])
-        return idx[:, 0], idx[:, 1], idx[:, 2], above, ratio
+        if len(parts) == 1:
+            idx, above, ratio = parts[0]
+        else:
+            idx, above, ratio = (np.concatenate(col, axis=-1) for col in zip(*parts))
+        return idx[0], idx[1], idx[2], above, ratio
 
 
 def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:

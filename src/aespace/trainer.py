@@ -18,6 +18,7 @@ superseded by the derived child seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.lr_init < 0:
-            raise ConfigError(f"lr_init must be >= 0, got {self.lr_init}")
+        if not (math.isfinite(self.lr_init) and self.lr_init >= 0):
+            raise ConfigError(f"lr_init must be finite and >= 0, got {self.lr_init}")
         if self.lr_decay_factor <= 1:
             raise ConfigError(f"lr_decay_factor must be > 1, got {self.lr_decay_factor}")
         if self.lr_floor <= 0:
@@ -64,6 +65,7 @@ class TrainConfig:
             raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if any(h < 1 for h in self.hidden_dims) or self.embed_dim < 1:
             raise ConfigError("hidden_dims and embed_dim must be positive")
+        self.loss.validate()
         self.sampler.validate()
 
 
@@ -109,6 +111,30 @@ class _PlateauSchedule:
         return lr
 
 
+def _pack(params: encoder.EncoderParams):
+    """Moves every weight and bias into one buffer, with a gradient buffer to match.
+
+    ``params.weights[k]`` and ``params.biases[k]`` become views into the
+    returned parameter buffer, so one array operation updates every layer.
+
+    Returns:
+        (parameter buffer, gradient buffer, EncoderGrads viewing the latter).
+    """
+    arrays = [*params.weights, *params.biases]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    grad_flat = np.empty_like(flat)
+    views, grad_views = [], []
+    start = 0
+    for a in arrays:
+        stop = start + a.size
+        views.append(flat[start:stop].reshape(a.shape))
+        grad_views.append(grad_flat[start:stop].reshape(a.shape))
+        start = stop
+    layers = len(params.weights)
+    params.weights, params.biases = views[:layers], views[layers:]
+    return flat, grad_flat, encoder.EncoderGrads(grad_views[:layers], grad_views[layers:])
+
+
 def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams, TrainLog]:
     """Fit the encoder to a dataset's triplet stream.
 
@@ -124,6 +150,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     init_seed, sampler_seed = derive_seeds(config.seed)
     layer_dims = [dataset.d_in, *config.hidden_dims, config.embed_dim]
     params = encoder.init(layer_dims, init_seed)
+    flat, grad_flat, grads = _pack(params)
+    batch_size = config.batch_size
+    inv_b = 1.0 / batch_size
 
     scores = dataset.scores()
     features = dataset.features
@@ -158,33 +187,29 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
             break
         proposed_before = samp.stats.proposed
         accepted_before = samp.stats.accepted
-        a_idx, p_idx, n_idx, _, _ = samp.collect_indices(config.batch_size)
+        a_idx, p_idx, n_idx, _, _ = samp.collect_indices(batch_size)
         win_proposed += samp.stats.proposed - proposed_before
         win_accepted += samp.stats.accepted - accepted_before
 
-        # a, p and n rows embedded together: one forward and one backward per step
-        batch = features[np.concatenate((a_idx, p_idx, n_idx))]
-        emb_a, emb_p, emb_n = np.split(encoder.forward(params, batch), 3)
-        le, ld, g_a, g_p, g_n = batch_loss(
-            emb_a, emb_p, emb_n, scores[a_idx], scores[n_idx], config.loss
-        )
-        mean_total = float(np.mean(le + ld))
+        # a, p and n rows embedded together: one forward and one backward pass per step
+        h = encoder._forward_pass(params, features[np.concatenate((a_idx, p_idx, n_idx))])
+        le, ld, grad = batch_loss(h[-1], scores[a_idx], scores[n_idx], config.loss)
+        sum_le = float(np.add.reduce(le))
+        sum_ld = float(np.add.reduce(ld))
+        mean_total = float(np.add.reduce(le + ld)) / batch_size
         if not np.isfinite(mean_total):
             raise DivergenceError(step, lr)
 
-        grads, _ = encoder.backward(params, batch, np.concatenate((g_a, g_p, g_n)))
-        inv_b = 1.0 / config.batch_size
-        for k in range(len(params.weights)):
-            dw = grads.weights[k] * inv_b
-            db = grads.biases[k] * inv_b
-            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-                raise DivergenceError(step, lr)
-            params.weights[k] -= lr * dw
-            params.biases[k] -= lr * db
+        encoder._backward_pass(params, h, grad, grads)
+        np.multiply(grad_flat, inv_b, out=grad_flat)
+        if not np.isfinite(grad_flat).all():
+            raise DivergenceError(step, lr)
+        grad_flat *= lr
+        flat -= grad_flat
 
         win_total += mean_total
-        win_le += float(np.mean(le))
-        win_ld += float(np.mean(ld))
+        win_le += sum_le / batch_size
+        win_ld += sum_ld / batch_size
         win_steps += 1
 
         if win_steps == config.plateau_window:

@@ -60,13 +60,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("video", "--q", "nan"), ("video", "--r", "nan"), ("video", "--min-prom", "nan"),
         ("synth", "--n", "10", "--din", "4", "--noise", "nan"),
+        ("train", "--lr", "nan"), ("train", "--margin", "nan"), ("train", "--dir-margin", "nan"),
+        ("train", "--margin", "inf"), ("train", "--lr", "inf"),
     ])
     def test_nan_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
+        out = tmp_path / "out"
         if argv[0] == "video":
             argv += ("--model", workspace["model"], "--frames", workspace["dataset"])
-        out = tmp_path / "out"
-        assert run(*argv, "--out", out) == 2
-        assert "usage:" in capsys.readouterr().err
+        if argv[0] == "train":
+            argv += ("--input", workspace["dataset"], "--steps", "5", "--model-out", out,
+                     "--log-out", tmp_path / "log")
+        else:
+            argv += ("--out", out)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "must be finite" in err or argv[0] != "train"
         assert not out.exists()
 
     def test_alpha_beta_order_rejected(self, workspace, tmp_path, capsys):

@@ -306,7 +306,8 @@ class TestBatchedLoss:
     @given(triplet_batches())
     def test_matches_oracle_row_by_row(self, batch):
         ea, ep, en, s_a, s_n, config = batch
-        le, ld, g_a, g_p, g_n = batch_loss(ea, ep, en, s_a, s_n, config)
+        le, ld, grad = batch_loss(np.concatenate((ea, ep, en)), s_a, s_n, config)
+        g_a, g_p, g_n = np.split(grad, 3)
         for i in range(len(ea)):
             ref = oracle_loss(ea[i], ep[i], en[i], s_a[i], s_n[i], config)
             assert le[i] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
@@ -318,5 +319,6 @@ class TestBatchedLoss:
         rng = np.random.default_rng(31)
         cfg = LossConfig(directional_enabled=False)
         ea, ep, en = rng.normal(size=(3, 10, 4))
-        _, ld, _, _, _ = batch_loss(ea, ep, en, rng.uniform(size=10), rng.uniform(size=10), cfg)
+        emb = np.concatenate((ea, ep, en))
+        _, ld, _ = batch_loss(emb, rng.uniform(size=10), rng.uniform(size=10), cfg)
         np.testing.assert_array_equal(ld, np.zeros(10))

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aespace import cli
+from aespace import cli, sampler
 from aespace.data_model import save_dataset
 from aespace.errors import ConfigError, EmptyInputError, SamplerStarvationError
 from aespace.sampler import (
+    PAIR_REFS,
     SamplerConfig,
     SamplerStats,
     TripletSampler,
@@ -40,6 +43,135 @@ def drain_accepted_set(sampler, min_proposals):
         a, p, n, _, _ = sampler.collect_indices(20000)
         accepted.update(zip(a.tolist(), p.tolist(), n.tolist()))
     return accepted
+
+
+class OracleSampler:
+    """The sampler that scans its chunk for acceptances on every call."""
+
+    def __init__(self, scores, config):
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.config = config
+        self.stats = SamplerStats()
+        self._rng = np.random.default_rng(config.seed)
+        self._since_accept = 0
+        self._buf = None
+        self._pos = 0
+
+    def _refill(self):
+        n = self.scores.size
+        idx = self._rng.integers(0, n, size=(sampler._CHUNK, 3))
+        a, p, neg = idx[:, 0], idx[:, 1], idx[:, 2]
+        distinct = (a != p) & (a != neg) & (p != neg)
+        s_a, s_p, s_n = self.scores[a], self.scores[p], self.scores[neg]
+        if self.config.pair_ref == "mean":
+            ref = 0.5 * (s_a + s_p)
+        else:
+            ref = s_a
+        num = np.abs(s_a - s_p)
+        den = np.abs(ref - s_n)
+        ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        accept = (
+            distinct
+            & (den > 0)
+            & (ratio > self.config.alpha)
+            & (ratio < self.config.beta)
+        )
+        self._buf = (idx, distinct, accept, ratio, ref > s_n)
+        self._pos = 0
+
+    def collect_indices(self, k):
+        if k <= 0:
+            empty_idx = np.empty(0, dtype=np.int64)
+            return empty_idx, empty_idx, empty_idx, np.empty(0, dtype=bool), np.empty(0)
+        rows = []
+        got = 0
+        while got < k:
+            if self._buf is None or self._pos >= sampler._CHUNK:
+                self._refill()
+            idx, distinct, accept, ratio, above = self._buf
+            pos = self._pos
+            hits = np.flatnonzero(accept[pos:])
+            need = k - got
+            if hits.size >= need:
+                cut = pos + int(hits[need - 1]) + 1
+                take = pos + hits[:need]
+            else:
+                cut = sampler._CHUNK
+                take = pos + hits
+            consumed_distinct = int(np.count_nonzero(distinct[pos:cut]))
+            self.stats.proposed += consumed_distinct
+            self.stats.accepted += take.size
+            if take.size:
+                last = int(take[-1])
+                self._since_accept = int(np.count_nonzero(distinct[last + 1 : cut]))
+            else:
+                self._since_accept += consumed_distinct
+            if take.size:
+                rows.append((idx[take], above[take].copy(), ratio[take].copy()))
+                got += take.size
+            self._pos = cut
+            if got < k and self._since_accept >= self.config.max_proposals:
+                raise SamplerStarvationError(self._since_accept, self.stats.acceptance_rate)
+
+        idx = np.concatenate([r[0] for r in rows])
+        above = np.concatenate([r[1] for r in rows])
+        ratio = np.concatenate([r[2] for r in rows])
+        return idx[:, 0], idx[:, 1], idx[:, 2], above, ratio
+
+
+def _call(smp, k):
+    try:
+        return smp.collect_indices(k)
+    except SamplerStarvationError as exc:
+        return str(exc)
+
+
+def assert_same_calls(scores, config, ks):
+    """Each call returns what the oracle's does, with its stats, or its error."""
+    smp, oracle = TripletSampler(scores, config), OracleSampler(scores, config)
+    for k in ks:
+        got, want = _call(smp, k), _call(oracle, k)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert (smp.stats.proposed, smp.stats.accepted) == (
+            oracle.stats.proposed, oracle.stats.accepted)
+
+
+class TestMatchesOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.9, 1.0]), min_size=3, max_size=9),
+        alpha=st.floats(0.0, 2.0),
+        width=st.floats(1e-3, 4.0),
+        pair_ref=st.sampled_from(PAIR_REFS),
+        max_proposals=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        ks=st.lists(st.sampled_from([0, 1, 7, 64, 3000]), min_size=1, max_size=6),
+    )
+    def test_same_triplets_stats_and_starvation(
+        self, scores, alpha, width, pair_ref, max_proposals, seed, ks
+    ):
+        config = SamplerConfig(alpha=alpha, beta=alpha + width, seed=seed,
+                               pair_ref=pair_ref, max_proposals=max_proposals)
+        assert_same_calls(scores, config, ks)
+
+    @pytest.mark.parametrize("pair_ref", PAIR_REFS)
+    def test_call_ending_on_a_chunks_last_acceptance(self, pair_ref):
+        # the second call takes exactly the first chunk's remaining acceptances,
+        # so the distinct proposals after the last one must stay pending
+        scores = [0.1, 0.12, 0.5, 0.8, 0.81]
+        config = SamplerConfig(alpha=0.0, beta=0.02, seed=13, pair_ref=pair_ref)
+        probe = OracleSampler(scores, config)
+        probe._refill()
+        _, distinct, accept, _, _ = probe._buf
+        hits = np.flatnonzero(accept)
+        assert hits.size > 2 and np.count_nonzero(distinct[hits[-1] + 1 :]) > 0
+        assert_same_calls(scores, config, [hits.size - 1, 1, 1, 7])
 
 
 class TestConfig:

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aespace import cli, encoder
+from aespace import cli, encoder, trainer
 from aespace.data_model import Dataset, save_dataset
 from aespace.errors import ConfigError, DivergenceError
 from aespace.loss import LossConfig
-from aespace.sampler import SamplerConfig
+from aespace.sampler import SamplerConfig, TripletSampler
 from aespace.synth import SynthConfig, generate
 from aespace.trainer import TrainConfig, derive_seeds, train
 
@@ -28,6 +28,12 @@ class TestConfig:
         [
             dict(max_steps=-1),
             dict(max_steps=10, lr_init=-1e-3),
+            dict(max_steps=10, lr_init=float("nan")),
+            dict(max_steps=10, lr_init=float("inf")),
+            dict(max_steps=10, loss=LossConfig(margin_m=float("nan"))),
+            dict(max_steps=10, loss=LossConfig(margin_m=float("inf"))),
+            dict(max_steps=10, loss=LossConfig(margin_md=float("nan"))),
+            dict(max_steps=10, loss=LossConfig(margin_md=float("-inf"))),
             dict(max_steps=10, lr_decay_factor=1.0),
             dict(max_steps=10, lr_floor=0.0),
             dict(max_steps=10, batch_size=0),
@@ -110,21 +116,129 @@ class TestGradientAveraging:
             np.testing.assert_allclose(ba, bb, rtol=1e-12, atol=1e-15)
 
 
+def reference_batch_loss(ea, ep, en, s_a, s_n, config):
+    """The batch loss on separate (B, d) anchor, positive and negative arrays."""
+    dap = ea - ep
+    dan = ea - en
+    e_arg = config.margin_m + np.sum(dap * dap, axis=1) - np.sum(dan * dan, axis=1)
+    l_e = np.maximum(e_arg, 0.0)
+    act_e = (e_arg > 0.0)[:, None]
+    grad_a = np.where(act_e, 2.0 * (en - ep), 0.0)
+    grad_p = np.where(act_e, -2.0 * dap, 0.0)
+    grad_n = np.where(act_e, 2.0 * dan, 0.0)
+
+    l_d = np.zeros_like(l_e)
+    if config.directional_enabled:
+        sign = np.sign(s_n - s_a)
+        norm_a = np.linalg.norm(ea, axis=1)
+        norm_n = np.linalg.norm(en, axis=1)
+        if config.literal_sign_form:
+            arg = norm_a - norm_n + config.margin_md
+            l_d = np.where(sign != 0.0, sign * np.maximum(arg, 0.0), 0.0)
+        else:
+            arg = config.margin_md + sign * (norm_a - norm_n)
+            l_d = np.where(sign != 0.0, np.maximum(arg, 0.0), 0.0)
+        unit_a = np.divide(ea, norm_a[:, None], out=np.zeros_like(ea), where=norm_a[:, None] > 0)
+        unit_n = np.divide(en, norm_n[:, None], out=np.zeros_like(en), where=norm_n[:, None] > 0)
+        coeff = (sign * ((sign != 0.0) & (arg > 0.0)))[:, None]
+        grad_a = grad_a + coeff * unit_a
+        grad_n = grad_n - coeff * unit_n
+    return l_e, l_d, grad_a, grad_p, grad_n
+
+
+def reference_train(dataset, config):
+    """The unfused step: public forward and backward (which reruns the forward
+    pass), the loss on split a/p/n embeddings, and a per-layer update."""
+    init_seed, sampler_seed = derive_seeds(config.seed)
+    params = encoder.init([dataset.d_in, *config.hidden_dims, config.embed_dim], init_seed)
+    scores = dataset.scores()
+    samp = TripletSampler(scores, dataclasses.replace(config.sampler, seed=sampler_seed))
+    schedule = trainer._PlateauSchedule(config)
+    windows = []
+    lr = config.lr_init
+    totals = [0.0, 0.0, 0.0]
+    win_steps = win_proposed = win_accepted = 0
+
+    def flush(step):
+        rate = win_accepted / win_proposed if win_proposed else 0.0
+        means = [t / win_steps for t in totals]
+        windows.append(trainer.WindowRecord(step, *means, lr, rate))
+        return means[0]
+
+    for step in range(1, config.max_steps + 1):
+        if lr < config.lr_floor:
+            break
+        proposed, accepted = samp.stats.proposed, samp.stats.accepted
+        a_idx, p_idx, n_idx, _, _ = samp.collect_indices(config.batch_size)
+        win_proposed += samp.stats.proposed - proposed
+        win_accepted += samp.stats.accepted - accepted
+
+        batch = dataset.features[np.concatenate((a_idx, p_idx, n_idx))]
+        emb_a, emb_p, emb_n = np.split(encoder.forward(params, batch), 3)
+        le, ld, g_a, g_p, g_n = reference_batch_loss(
+            emb_a, emb_p, emb_n, scores[a_idx], scores[n_idx], config.loss
+        )
+        mean_total = float(np.mean(le + ld))
+        if not np.isfinite(mean_total):
+            raise DivergenceError(step, lr)
+        grads, _ = encoder.backward(params, batch, np.concatenate((g_a, g_p, g_n)))
+        inv_b = 1.0 / config.batch_size
+        for k in range(len(params.weights)):
+            dw = grads.weights[k] * inv_b
+            db = grads.biases[k] * inv_b
+            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+                raise DivergenceError(step, lr)
+            params.weights[k] -= lr * dw
+            params.biases[k] -= lr * db
+
+        for i, value in enumerate((mean_total, float(np.mean(le)), float(np.mean(ld)))):
+            totals[i] += value
+        win_steps += 1
+        if win_steps == config.plateau_window:
+            lr = schedule.update(lr, flush(step))
+            totals = [0.0, 0.0, 0.0]
+            win_steps = win_proposed = win_accepted = 0
+    if win_steps:
+        flush(step)
+    return params, windows
+
+
+class TestFusedStep:
+    # plateau_patience=1 decays lr on any stalled window; the batch1 and batch5 runs decay
+    SHORT = dict(max_steps=300, plateau_window=50, plateau_patience=1)
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(max_steps=600, seed=2),
+        TrainConfig(**SHORT, seed=3, loss=LossConfig(directional_enabled=False)),
+        TrainConfig(**SHORT, seed=4, loss=LossConfig(literal_sign_form=True)),
+        TrainConfig(**SHORT, seed=5, sampler=SamplerConfig(pair_ref="anchor")),
+        TrainConfig(**SHORT, seed=6, batch_size=1),
+        TrainConfig(**SHORT, seed=7, batch_size=5, hidden_dims=(7,), embed_dim=3),
+    ], ids=["default", "no_directional", "literal_sign", "anchor_ref", "batch1", "batch5"])
+    def test_bit_identical_to_unfused_step(self, config):
+        ds = generate(SynthConfig(n=200, d_in=8, noise_sigma=0.05, seed=11))
+        params, log = train(ds, config)
+        ref_params, ref_windows = reference_train(ds, config)
+        assert params_equal(params, ref_params)
+        assert log.windows == ref_windows
+        assert len(log.windows) >= 2
+
+
 class TestSinglePassStep:
     def test_one_forward_and_one_backward_per_step(self, monkeypatch):
         calls = []
-        real_forward, real_backward = encoder.forward, encoder.backward
+        real_forward, real_backward = encoder._forward_pass, encoder._backward_pass
 
-        def forward(params, x):
+        def forward_pass(params, x):
             calls.append(("forward", len(x)))
             return real_forward(params, x)
 
-        def backward(params, x, grad_phi):
-            calls.append(("backward", len(x), len(grad_phi)))
-            return real_backward(params, x, grad_phi)
+        def backward_pass(params, h, grad, grads_out):
+            calls.append(("backward", len(h[0]), len(grad)))
+            return real_backward(params, h, grad, grads_out)
 
-        monkeypatch.setattr(encoder, "forward", forward)
-        monkeypatch.setattr(encoder, "backward", backward)
+        monkeypatch.setattr(encoder, "_forward_pass", forward_pass)
+        monkeypatch.setattr(encoder, "_backward_pass", backward_pass)
         _, log = train(small_dataset(), TrainConfig(max_steps=7, batch_size=5, seed=3))
         assert log.windows[-1].step == 7
         assert calls == [("forward", 15), ("backward", 15, 15)] * 7

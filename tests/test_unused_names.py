@@ -14,6 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "aespace"
 ALLOWED = {
     "score_histogram": "acceptance criterion 2 reads the score distribution through it",
     "estimate_cardinality": "acceptance criterion 3 estimates the triplet-space size with it",
+    "backward": "acceptance criterion 4 checks its gradients against finite differences",
     "directional_triplet_loss": "acceptance criterion 4 checks the one-triplet loss with it",
     "kendall_tau": "acceptance criterion 5 and the collection benchmark call it",
 }
