@@ -154,8 +154,9 @@ def load(path: str | Path) -> EncoderParams:
 
     Raises:
         ModelVersionError: The file declares an unsupported version.
-        ModelFormatError: The file is not valid JSON, its shapes do not
-            chain, or a weight or bias is NaN or infinite.
+        ModelFormatError: The file is not valid JSON, its layer_dims are
+            not two or more positive integers, its shapes do not chain, or a
+            weight or bias is NaN or infinite.
     """
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
@@ -167,8 +168,12 @@ def load(path: str | Path) -> EncoderParams:
     if payload["version"] != MODEL_FILE_VERSION:
         raise ModelVersionError(payload["version"], MODEL_FILE_VERSION)
 
+    layer_dims = payload.get("layer_dims")
+    if not (isinstance(layer_dims, list) and len(layer_dims) >= 2 and all(
+            type(d) is int and d >= 1 for d in layer_dims)):
+        raise ModelFormatError(
+            f"model file {path}: layer_dims must be a list of two or more positive integers")
     try:
-        layer_dims = [int(d) for d in payload["layer_dims"]]
         weights = [
             np.array(flat, dtype=np.float64).reshape(fan_out, fan_in)
             for flat, fan_in, fan_out in zip(

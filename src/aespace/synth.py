@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,9 @@ class SynthConfig:
             raise ConfigError(f"view_range.lo must be >= 100, got {lo}")
         if not lo < hi:
             raise ConfigError(f"view_range.lo must be < view_range.hi, got ({lo}, {hi})")
+        if hi > sys.float_info.max:
+            raise ConfigError(
+                f"view_range.hi must be at most {sys.float_info.max:g}, the float range")
 
 
 def basis(s: float) -> np.ndarray:

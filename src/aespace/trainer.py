@@ -2,11 +2,13 @@
 
 Each step draws a fresh batch of accepted triplets, averages the combined
 loss gradient over the batch (mean, not sum, so loss magnitudes compare
-across batch sizes), and applies a plain gradient-descent update. The
-learning rate starts at ``lr_init`` and is divided by ``lr_decay_factor``
-whenever the windowed mean loss stops improving; training stops early once
-the rate falls below ``lr_floor``. No momentum, no data augmentation:
-features are consumed exactly as stored.
+across batch sizes), and applies a plain gradient-descent update. Steps run
+in windows of ``PLATEAU_WINDOW``; each window logs its mean losses. The
+learning rate starts at ``lr_init`` and is divided by ``LR_DECAY_FACTOR``
+once ``PLATEAU_PATIENCE`` full windows in a row fail to beat the best mean
+loss by ``PLATEAU_MIN_REL_IMPROVEMENT``; training stops early once the rate
+falls below ``LR_FLOOR``. No momentum, no data augmentation: features are
+consumed exactly as stored.
 
 Determinism: a single master seed drives everything. Two child seeds are
 derived from it (numpy SeedSequence order: encoder init first, then the
@@ -29,19 +31,20 @@ from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, batch_loss
 from .sampler import SamplerConfig, TripletSampler
 
+# the divide-on-plateau schedule, read by ``train`` at call time
+PLATEAU_WINDOW = 500  # steps per logged window
+PLATEAU_PATIENCE = 3  # stalled full windows in a row before a decay
 # a window mean counts as an improvement only if it beats the best by this fraction
 PLATEAU_MIN_REL_IMPROVEMENT = 1e-3
+LR_DECAY_FACTOR = 10.0
+LR_FLOOR = 1e-6  # training stops once the rate falls below this
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_steps: int
     lr_init: float = 1e-3
-    lr_decay_factor: float = 10.0
-    lr_floor: float = 1e-6
     batch_size: int = 64
-    plateau_window: int = 500
-    plateau_patience: int = 3
     seed: int = 0
     hidden_dims: tuple[int, ...] = (64, 32)
     embed_dim: int = 16
@@ -53,16 +56,8 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if not (math.isfinite(self.lr_init) and self.lr_init >= 0):
             raise ConfigError(f"lr_init must be finite and >= 0, got {self.lr_init}")
-        if self.lr_decay_factor <= 1:
-            raise ConfigError(f"lr_decay_factor must be > 1, got {self.lr_decay_factor}")
-        if self.lr_floor <= 0:
-            raise ConfigError(f"lr_floor must be > 0, got {self.lr_floor}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.plateau_window < 1:
-            raise ConfigError(f"plateau_window must be >= 1, got {self.plateau_window}")
-        if self.plateau_patience < 1:
-            raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if any(h < 1 for h in self.hidden_dims) or self.embed_dim < 1:
             raise ConfigError("hidden_dims and embed_dim must be positive")
         self.loss.validate()
@@ -88,27 +83,6 @@ def derive_seeds(seed: int) -> tuple[int, int]:
     """(encoder-init seed, sampler seed) derived from the master seed."""
     state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     return int(state[0]), int(state[1])
-
-
-class _PlateauSchedule:
-    """Divide-on-plateau: decay when the windowed mean stalls for ``patience`` windows."""
-
-    def __init__(self, config: TrainConfig):
-        self.factor = config.lr_decay_factor
-        self.patience = config.plateau_patience
-        self.best = None
-        self.streak = 0
-
-    def update(self, lr: float, window_mean: float) -> float:
-        if self.best is None or window_mean < self.best * (1.0 - PLATEAU_MIN_REL_IMPROVEMENT):
-            self.best = window_mean
-            self.streak = 0
-            return lr
-        self.streak += 1
-        if self.streak >= self.patience:
-            self.streak = 0
-            return lr / self.factor
-        return lr
 
 
 def _pack(params: encoder.EncoderParams):
@@ -157,65 +131,50 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     scores = dataset.scores()
     features = dataset.features
     samp = TripletSampler(scores, dataclasses.replace(config.sampler, seed=sampler_seed))
-    schedule = _PlateauSchedule(config)
 
     log = TrainLog()
     lr = config.lr_init
-    win_total = win_le = win_ld = 0.0
-    win_steps = 0
-    win_proposed = win_accepted = 0
-
-    def flush_window(step):
-        nonlocal win_total, win_le, win_ld, win_steps, win_proposed, win_accepted
-        rate = win_accepted / win_proposed if win_proposed else 0.0
-        record = WindowRecord(
-            step=step,
-            mean_loss=win_total / win_steps,
-            mean_le=win_le / win_steps,
-            mean_ld=win_ld / win_steps,
-            lr=lr,
-            acceptance_rate=rate,
-        )
-        log.windows.append(record)
+    best, stalls = None, 0
+    step = 0
+    # the rate changes only between windows, so the floor is checked once per window
+    while step < config.max_steps and lr >= LR_FLOOR:
+        last = min(step + PLATEAU_WINDOW, config.max_steps)
+        steps = last - step
+        proposed, accepted = samp.stats.proposed, samp.stats.accepted
         win_total = win_le = win_ld = 0.0
-        win_steps = 0
-        win_proposed = win_accepted = 0
-        return record
+        for step in range(step + 1, last + 1):
+            a_idx, p_idx, n_idx, _, _ = samp.collect_indices(batch_size)
 
-    for step in range(1, config.max_steps + 1):
-        if lr < config.lr_floor:
-            break
-        proposed_before = samp.stats.proposed
-        accepted_before = samp.stats.accepted
-        a_idx, p_idx, n_idx, _, _ = samp.collect_indices(batch_size)
-        win_proposed += samp.stats.proposed - proposed_before
-        win_accepted += samp.stats.accepted - accepted_before
+            # a, p and n rows embedded together: one forward and one backward pass per step
+            h = encoder._forward_pass(params, features[np.concatenate((a_idx, p_idx, n_idx))])
+            le, ld, grad = batch_loss(h[-1], scores[a_idx], scores[n_idx], config.loss)
+            sum_le = float(np.add.reduce(le))
+            sum_ld = float(np.add.reduce(ld))
+            mean_total = float(np.add.reduce(le + ld)) / batch_size
+            if not np.isfinite(mean_total):
+                raise DivergenceError(step, lr)
 
-        # a, p and n rows embedded together: one forward and one backward pass per step
-        h = encoder._forward_pass(params, features[np.concatenate((a_idx, p_idx, n_idx))])
-        le, ld, grad = batch_loss(h[-1], scores[a_idx], scores[n_idx], config.loss)
-        sum_le = float(np.add.reduce(le))
-        sum_ld = float(np.add.reduce(ld))
-        mean_total = float(np.add.reduce(le + ld)) / batch_size
-        if not np.isfinite(mean_total):
-            raise DivergenceError(step, lr)
+            encoder._backward_pass(params, h, grad, grads)
+            np.multiply(grad_flat, inv_b, out=grad_flat)
+            if not np.isfinite(grad_flat).all():
+                raise DivergenceError(step, lr)
+            grad_flat *= lr
+            flat -= grad_flat
 
-        encoder._backward_pass(params, h, grad, grads)
-        np.multiply(grad_flat, inv_b, out=grad_flat)
-        if not np.isfinite(grad_flat).all():
-            raise DivergenceError(step, lr)
-        grad_flat *= lr
-        flat -= grad_flat
+            win_total += mean_total
+            win_le += sum_le / batch_size
+            win_ld += sum_ld / batch_size
 
-        win_total += mean_total
-        win_le += sum_le / batch_size
-        win_ld += sum_ld / batch_size
-        win_steps += 1
-
-        if win_steps == config.plateau_window:
-            record = flush_window(step)
-            lr = schedule.update(lr, record.mean_loss)
-
-    if win_steps:
-        flush_window(step)
+        proposed = samp.stats.proposed - proposed
+        rate = (samp.stats.accepted - accepted) / proposed if proposed else 0.0
+        mean_loss = win_total / steps
+        log.windows.append(WindowRecord(last, mean_loss, win_le / steps, win_ld / steps, lr, rate))
+        if steps < PLATEAU_WINDOW:
+            break  # a partial window is the last one, and never moves the schedule
+        if best is None or mean_loss < best * (1.0 - PLATEAU_MIN_REL_IMPROVEMENT):
+            best, stalls = mean_loss, 0
+        else:
+            stalls += 1
+            if stalls >= PLATEAU_PATIENCE:
+                lr, stalls = lr / LR_DECAY_FACTOR, 0
     return params, log

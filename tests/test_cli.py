@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -77,6 +78,14 @@ class TestExitCodes:
         assert "usage:" in err
         assert "must be finite" in err or argv[0] != "train"
         assert not out.exists()
+
+    @pytest.mark.parametrize("past_max, code", [(0, 0), (1, 2)])
+    def test_view_hi_beyond_float_range(self, tmp_path, capsys, past_max, code):
+        hi = int(sys.float_info.max) + past_max
+        out = tmp_path / "d.jsonl"
+        assert run("synth", "--n", "5", "--din", "3", "--view-hi", hi, "--out", out) == code
+        assert out.exists() == (code == 0)
+        assert ("view_range.hi must be at most" in capsys.readouterr().err) == (code == 2)
 
     def test_alpha_beta_order_rejected(self, workspace, tmp_path, capsys):
         code = run(
@@ -366,6 +375,18 @@ class TestBadArtifacts:
         code = run("rank", "--model", model, "--input", workspace["dataset"], "--out", out)
         assert code == 1
         assert "non-finite weight or bias" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])
+    def test_model_without_layers_fails(self, workspace, tmp_path, capsys, command):
+        # one layer dim and no weights would load as the identity map
+        model = tmp_path / "identity.json"
+        model.write_text('{"version": 1, "layer_dims": [4], "weights": [], "biases": []}')
+        out = tmp_path / "out.csv"
+        data_flag = "--frames" if command == "video" else "--input"
+        code = run(command, "--model", model, data_flag, workspace["dataset"], "--out", out)
+        assert code == 1
+        assert f"aespace {command}: error: model file {model}: layer_dims" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])

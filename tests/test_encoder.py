@@ -266,6 +266,20 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             encoder.load(path)
 
+    @pytest.mark.parametrize("dims, weights, biases", [
+        ([3], [], []),  # no layer: would load as the identity map
+        ([3.9, 2], [[0.0] * 6], [[0.0, 0.0]]),  # would be truncated to 3
+        ([-1, 2], [[0.0] * 6], [[0.0, 0.0]]),  # reshape(2, -1) would infer the width
+        ([True, 2], [[0.0, 0.0]], [[0.0, 0.0]]),  # a bool is not an int
+        ("32", [[0.0] * 6], [[0.0, 0.0]]),
+    ], ids=["one_dim", "float_dim", "negative_dim", "bool_dim", "string"])
+    def test_layer_dims_must_be_positive_ints(self, tmp_path, dims, weights, biases):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"version": 1, "layer_dims": dims, "weights": weights, "biases": biases}))
+        with pytest.raises(ModelFormatError, match="layer_dims must be a list"):
+            encoder.load(path)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", ["weights", "biases"])
     def test_non_finite_rejected(self, tmp_path, part, value):

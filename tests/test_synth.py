@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ class TestConfig:
             dict(n=10, d_in=4, view_range=(99, 1000)),
             dict(n=10, d_in=4, view_range=(1000, 1000)),
             dict(n=10, d_in=4, view_range=(2000, 1000)),
+            dict(n=10, d_in=4, view_range=(1000, int(sys.float_info.max) + 1)),
         ],
     )
     def test_invalid(self, kwargs):

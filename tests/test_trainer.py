@@ -16,6 +16,12 @@ def small_dataset(n=30, d_in=4, seed=1):
     return generate(SynthConfig(n=n, d_in=d_in, seed=seed))
 
 
+def set_schedule(monkeypatch, **constants):
+    """Overrides the trainer's schedule constants, e.g. PLATEAU_WINDOW=10."""
+    for name, value in constants.items():
+        monkeypatch.setattr(trainer, name, value)
+
+
 def params_equal(a, b):
     return all(np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights)) and all(
         np.array_equal(ba, bb) for ba, bb in zip(a.biases, b.biases)
@@ -34,11 +40,7 @@ class TestConfig:
             dict(max_steps=10, loss=LossConfig(margin_m=float("inf"))),
             dict(max_steps=10, loss=LossConfig(margin_md=float("nan"))),
             dict(max_steps=10, loss=LossConfig(margin_md=float("-inf"))),
-            dict(max_steps=10, lr_decay_factor=1.0),
-            dict(max_steps=10, lr_floor=0.0),
             dict(max_steps=10, batch_size=0),
-            dict(max_steps=10, plateau_window=0),
-            dict(max_steps=10, plateau_patience=0),
             dict(max_steps=10, embed_dim=0),
             dict(max_steps=10, hidden_dims=(8, 0)),
         ],
@@ -146,14 +148,36 @@ def reference_batch_loss(ea, ep, en, s_a, s_n, config):
     return l_e, l_d, grad_a, grad_p, grad_n
 
 
+class _PlateauSchedule:
+    """Divide-on-plateau: decay when the windowed mean stalls for ``patience`` windows."""
+
+    def __init__(self):
+        self.factor = trainer.LR_DECAY_FACTOR
+        self.patience = trainer.PLATEAU_PATIENCE
+        self.best = None
+        self.streak = 0
+
+    def update(self, lr: float, window_mean: float) -> float:
+        if self.best is None or window_mean < self.best * (1.0 - trainer.PLATEAU_MIN_REL_IMPROVEMENT):
+            self.best = window_mean
+            self.streak = 0
+            return lr
+        self.streak += 1
+        if self.streak >= self.patience:
+            self.streak = 0
+            return lr / self.factor
+        return lr
+
+
 def reference_train(dataset, config):
-    """The unfused step: public forward and backward (which reruns the forward
-    pass), the loss on split a/p/n embeddings, and a per-layer update."""
+    """The unfused per-step loop: public forward and backward (which reruns the
+    forward pass), the loss on split a/p/n embeddings, a per-layer update, a
+    floor check every step and a window counter that flushes on the last step."""
     init_seed, sampler_seed = derive_seeds(config.seed)
     params = encoder.init([dataset.d_in, *config.hidden_dims, config.embed_dim], init_seed)
     scores = dataset.scores()
     samp = TripletSampler(scores, dataclasses.replace(config.sampler, seed=sampler_seed))
-    schedule = trainer._PlateauSchedule(config)
+    schedule = _PlateauSchedule()
     windows = []
     lr = config.lr_init
     totals = [0.0, 0.0, 0.0]
@@ -166,7 +190,7 @@ def reference_train(dataset, config):
         return means[0]
 
     for step in range(1, config.max_steps + 1):
-        if lr < config.lr_floor:
+        if lr < trainer.LR_FLOOR:
             break
         proposed, accepted = samp.stats.proposed, samp.stats.accepted
         a_idx, p_idx, n_idx, _, _ = samp.collect_indices(config.batch_size)
@@ -194,7 +218,7 @@ def reference_train(dataset, config):
         for i, value in enumerate((mean_total, float(np.mean(le)), float(np.mean(ld)))):
             totals[i] += value
         win_steps += 1
-        if win_steps == config.plateau_window:
+        if win_steps == trainer.PLATEAU_WINDOW:
             lr = schedule.update(lr, flush(step))
             totals = [0.0, 0.0, 0.0]
             win_steps = win_proposed = win_accepted = 0
@@ -203,25 +227,79 @@ def reference_train(dataset, config):
     return params, windows
 
 
-class TestFusedStep:
-    # plateau_patience=1 decays lr on any stalled window; the batch1 and batch5 runs decay
-    SHORT = dict(max_steps=300, plateau_window=50, plateau_patience=1)
+# the window is 50 steps and any stalled window decays lr; the batch1 and batch5 runs decay
+SHORT = dict(PLATEAU_WINDOW=50, PLATEAU_PATIENCE=1)
 
-    @pytest.mark.parametrize("config", [
-        TrainConfig(max_steps=600, seed=2),
-        TrainConfig(**SHORT, seed=3, loss=LossConfig(directional_enabled=False)),
-        TrainConfig(**SHORT, seed=4, loss=LossConfig(literal_sign_form=True)),
-        TrainConfig(**SHORT, seed=5, sampler=SamplerConfig(pair_ref="anchor")),
-        TrainConfig(**SHORT, seed=6, batch_size=1),
-        TrainConfig(**SHORT, seed=7, batch_size=5, hidden_dims=(7,), embed_dim=3),
+
+def assert_matches_reference(ds, config):
+    params, log = train(ds, config)
+    ref_params, ref_windows = reference_train(ds, config)
+    assert params_equal(params, ref_params)
+    assert log.windows == ref_windows
+    return log
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("config, schedule", [
+        (TrainConfig(max_steps=600, seed=2), {}),
+        (TrainConfig(max_steps=300, seed=3, loss=LossConfig(directional_enabled=False)), SHORT),
+        (TrainConfig(max_steps=300, seed=4, loss=LossConfig(literal_sign_form=True)), SHORT),
+        (TrainConfig(max_steps=300, seed=5, sampler=SamplerConfig(pair_ref="anchor")), SHORT),
+        (TrainConfig(max_steps=300, seed=6, batch_size=1), SHORT),
+        (TrainConfig(max_steps=300, seed=7, batch_size=5, hidden_dims=(7,), embed_dim=3), SHORT),
     ], ids=["default", "no_directional", "literal_sign", "anchor_ref", "batch1", "batch5"])
-    def test_bit_identical_to_unfused_step(self, config):
+    def test_bit_identical_to_unfused_step(self, monkeypatch, config, schedule):
+        set_schedule(monkeypatch, **schedule)
         ds = generate(SynthConfig(n=200, d_in=8, noise_sigma=0.05, seed=11))
-        params, log = train(ds, config)
-        ref_params, ref_windows = reference_train(ds, config)
-        assert params_equal(params, ref_params)
-        assert log.windows == ref_windows
-        assert len(log.windows) >= 2
+        assert len(assert_matches_reference(ds, config).windows) >= 2
+
+
+class TestWindowEdges:
+    """The window loop against the per-step reference at its boundaries."""
+
+    DS = generate(SynthConfig(n=60, d_in=4, noise_sigma=0.05, seed=13))
+
+    def test_exactly_two_windows(self, monkeypatch):
+        set_schedule(monkeypatch, **SHORT)
+        log = assert_matches_reference(self.DS, TrainConfig(max_steps=100, seed=1))
+        assert [w.step for w in log.windows] == [50, 100]
+
+    def test_one_step(self):
+        log = assert_matches_reference(self.DS, TrainConfig(max_steps=1, seed=1))
+        assert [w.step for w in log.windows] == [1]
+
+    def test_zero_lr_logs_no_window(self):
+        # 0 is under the floor, so not even the first window starts
+        log = assert_matches_reference(self.DS, TrainConfig(max_steps=30, lr_init=0.0, seed=1))
+        assert log.windows == []
+
+    # improvements and stalls interleave, so both stall resets matter; at 0.3
+    # the threshold turns some lower window means into stalls
+    @pytest.mark.parametrize("min_rel", [1e-3, 0.3])
+    def test_patience_counts_stalls_in_a_row(self, monkeypatch, min_rel):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=10, PLATEAU_PATIENCE=3, LR_DECAY_FACTOR=3.0,
+                     PLATEAU_MIN_REL_IMPROVEMENT=min_rel)
+        log = assert_matches_reference(self.DS, TrainConfig(max_steps=400, lr_init=1e-2, seed=1))
+        assert len({w.lr for w in log.windows}) >= 3
+
+    def test_floor_stops_at_a_window_boundary(self, monkeypatch):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=10, PLATEAU_PATIENCE=1, LR_FLOOR=1e-4)
+        log = assert_matches_reference(self.DS, TrainConfig(max_steps=1000, lr_init=1e-3, seed=1))
+        last = log.windows[-1]
+        assert last.step < 1000 and last.step % 10 == 0
+        assert last.lr / trainer.LR_DECAY_FACTOR < trainer.LR_FLOOR
+
+    # 3.0 diverges at step 5, after two decays; the others diverge at their first rate
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr_init", [3.0, 1e3, 1e10, 1e50])
+    def test_divergence_matches(self, monkeypatch, lr_init):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=2, PLATEAU_PATIENCE=1)
+        config = TrainConfig(max_steps=50, lr_init=lr_init, seed=1)
+        with pytest.raises(DivergenceError) as got:
+            train(self.DS, config)
+        with pytest.raises(DivergenceError) as want:
+            reference_train(self.DS, config)
+        assert (got.value.step, got.value.lr) == (want.value.step, want.value.lr)
 
 
 class TestSinglePassStep:
@@ -245,16 +323,10 @@ class TestSinglePassStep:
 
 
 class TestSchedule:
-    def test_plateau_decays_by_exact_factor(self):
+    def test_plateau_decays_by_exact_factor(self, monkeypatch):
+        set_schedule(monkeypatch, LR_FLOOR=1e-30, PLATEAU_WINDOW=10, PLATEAU_PATIENCE=2)
         ds = small_dataset(n=40)
-        config = TrainConfig(
-            max_steps=200,
-            lr_init=1e-15,
-            lr_floor=1e-30,
-            plateau_window=10,
-            plateau_patience=2,
-            seed=4,
-        )
+        config = TrainConfig(max_steps=200, lr_init=1e-15, seed=4)
         _, log = train(ds, config)
         lrs = [w.lr for w in log.windows]
         assert lrs[0] == 1e-15
@@ -262,44 +334,39 @@ class TestSchedule:
         for a, b in zip(lrs, lrs[1:]):
             assert b == a or b == a / 10.0
 
-    def test_lr_non_increasing_and_steps_increasing(self):
+    def test_lr_non_increasing_and_steps_increasing(self, monkeypatch):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=20)
         ds = small_dataset(n=40)
-        config = TrainConfig(max_steps=120, plateau_window=20, seed=6)
+        config = TrainConfig(max_steps=120, seed=6)
         _, log = train(ds, config)
         steps = [w.step for w in log.windows]
         lrs = [w.lr for w in log.windows]
         assert steps == sorted(set(steps))
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
-    def test_floor_stops_training(self):
+    def test_floor_stops_training(self, monkeypatch):
+        set_schedule(monkeypatch, LR_FLOOR=1e-16, PLATEAU_WINDOW=5, PLATEAU_PATIENCE=1)
         ds = small_dataset(n=40)
-        config = TrainConfig(
-            max_steps=10_000,
-            lr_init=1e-15,
-            lr_floor=1e-16,
-            plateau_window=5,
-            plateau_patience=1,
-            seed=4,
-        )
+        config = TrainConfig(max_steps=10_000, lr_init=1e-15, seed=4)
         _, log = train(ds, config)
         # one decay puts lr under the floor; the loop ends long before max_steps
         assert log.windows[-1].step < 10_000
 
 
 class TestLog:
-    def test_window_boundaries_and_partial_flush(self):
+    def test_window_boundaries_and_partial_flush(self, monkeypatch):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=10)
         ds = small_dataset()
-        _, log = train(ds, TrainConfig(max_steps=35, plateau_window=10, seed=2))
+        _, log = train(ds, TrainConfig(max_steps=35, seed=2))
         assert [w.step for w in log.windows] == [10, 20, 30, 35]
         for w in log.windows:
             assert w.mean_loss == pytest.approx(w.mean_le + w.mean_ld, rel=1e-12)
             assert 0.0 < w.acceptance_rate <= 1.0
 
-    def test_no_directional_logs_zero_ld(self):
+    def test_no_directional_logs_zero_ld(self, monkeypatch):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=10)
         ds = small_dataset()
-        config = TrainConfig(
-            max_steps=20, plateau_window=10, seed=2, loss=LossConfig(directional_enabled=False)
-        )
+        config = TrainConfig(max_steps=20, seed=2, loss=LossConfig(directional_enabled=False))
         _, log = train(ds, config)
         assert all(w.mean_ld == 0.0 for w in log.windows)
 
@@ -336,9 +403,10 @@ class TestDivergence:
 
 
 class TestLossDecreases:
-    def test_training_reduces_windowed_loss(self):
+    def test_training_reduces_windowed_loss(self, monkeypatch):
+        set_schedule(monkeypatch, PLATEAU_WINDOW=200)
         ds = generate(SynthConfig(n=300, d_in=8, noise_sigma=0.05, seed=17))
-        config = TrainConfig(max_steps=2000, plateau_window=200, seed=17)
+        config = TrainConfig(max_steps=2000, seed=17)
         _, log = train(ds, config)
         assert log.windows[-1].mean_loss < log.windows[0].mean_loss
 
