@@ -40,7 +40,11 @@ class TestConfig:
             dict(max_steps=10, loss=LossConfig(margin_m=float("inf"))),
             dict(max_steps=10, loss=LossConfig(margin_md=float("nan"))),
             dict(max_steps=10, loss=LossConfig(margin_md=float("-inf"))),
+            dict(max_steps=10, lr_init=float("-inf")),
+            dict(max_steps=10, hidden_dims=(0,)),
             dict(max_steps=10, batch_size=0),
+            dict(max_steps=10, sampler=SamplerConfig(alpha=0.5, beta=0.5)),
+            dict(max_steps=10, sampler=SamplerConfig(max_proposals=0)),
             dict(max_steps=10, embed_dim=0),
             dict(max_steps=10, hidden_dims=(8, 0)),
         ],
