@@ -25,11 +25,12 @@ import time
 from . import __version__, data_model, encoder, ranker, synth, trainer, video
 from .errors import AespaceError, ConfigError, InputError
 from .loss import LossConfig
-from .sampler import SamplerConfig, TripletSampler
+from .sampler import SamplerConfig, TripletSampler, window
 from .trainer import TrainConfig
 from .video import KalmanConfig, PeakConfig
 
 SEED_ENV_VAR = "AESPACE_SEED"
+SAMPLE_BLOCK = 65_536  # triplets ``sample`` draws and writes at a time
 
 
 class _UsageError(Exception):
@@ -37,16 +38,18 @@ class _UsageError(Exception):
 
 
 def _resolve_seed(flag_value: int | None) -> int:
-    """Explicit --seed wins; otherwise AESPACE_SEED; otherwise 0."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    """Explicit --seed wins; otherwise AESPACE_SEED; otherwise 0. Must be >= 0."""
+    seed, source = flag_value, "--seed"
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
+        source = SEED_ENV_VAR
+        try:
+            seed = int(env)
+        except ValueError:
+            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    if seed < 0:
+        raise _UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -199,10 +202,17 @@ def _cmd_sample(args):
         raise _UsageError(f"--count must be >= 0, got {args.count}")
     dataset = data_model.load_dataset(args.input)
     smp = TripletSampler(dataset.scores(), config)
-    a, p, n, above, ratio = (arr.tolist() for arr in smp.collect_indices(args.count))
-    data_model.write_csv(args.out, ("a", "p", "n", "pair_above", "ratio"), zip(
-        a, p, n, ("true" if flag else "false" for flag in above), ratio
-    ))
+
+    def rows():
+        left = args.count
+        while left > 0:
+            idx = smp.collect_indices(min(left, SAMPLE_BLOCK))
+            left -= idx.shape[1]
+            ref, ratio = window(smp.scores, idx, config.pair_ref)
+            above = ("true" if flag else "false" for flag in (ref > smp.scores[idx[2]]).tolist())
+            yield from zip(*idx.tolist(), above, ratio.tolist())
+
+    data_model.write_csv(args.out, ("a", "p", "n", "pair_above", "ratio"), rows())
     stats = {
         "proposed": smp.stats.proposed,
         "accepted": smp.stats.accepted,

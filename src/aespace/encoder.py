@@ -149,14 +149,22 @@ def save(params: EncoderParams, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _numbers(values, size: int) -> bool:
+    """True iff ``values`` is a flat list of ``size`` JSON numbers (a bool is not one)."""
+    return isinstance(values, list) and len(values) == size and all(
+        type(v) in (int, float) for v in values)
+
+
 def load(path: str | Path) -> EncoderParams:
     """Read a model file written by ``save``.
 
     Raises:
         ModelVersionError: The file declares an unsupported version.
         ModelFormatError: The file is not valid JSON, its layer_dims are
-            not two or more positive integers, its shapes do not chain, or a
-            weight or bias is NaN or infinite.
+            not two or more positive integers, it does not hold one weight
+            and one bias entry per layer, each a flat list of exactly
+            fan_in * fan_out and fan_out numbers, or a weight or bias is NaN,
+            infinite or beyond float range.
     """
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
@@ -173,22 +181,20 @@ def load(path: str | Path) -> EncoderParams:
             type(d) is int and d >= 1 for d in layer_dims)):
         raise ModelFormatError(
             f"model file {path}: layer_dims must be a list of two or more positive integers")
-    try:
-        weights = [
-            np.array(flat, dtype=np.float64).reshape(fan_out, fan_in)
-            for flat, fan_in, fan_out in zip(
-                payload["weights"], layer_dims[:-1], layer_dims[1:]
-            )
-        ]
-        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model file {path}: {exc}") from exc
-
-    if len(weights) != len(layer_dims) - 1 or len(biases) != len(weights):
+    weights, biases = payload.get("weights"), payload.get("biases")
+    if not (isinstance(weights, list) and isinstance(biases, list)
+            and len(weights) == len(biases) == len(layer_dims) - 1):
         raise ModelFormatError(f"model file {path}: layer count mismatch")
-    for b, w in zip(biases, weights):
-        if b.shape != (w.shape[0],):
-            raise ModelFormatError(f"model file {path}: bias shape mismatch")
+    for k, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        if not (_numbers(weights[k], fan_in * fan_out) and _numbers(biases[k], fan_out)):
+            raise ModelFormatError(
+                f"model file {path}: layer {k} needs flat lists of {fan_in * fan_out} weights"
+                f" and {fan_out} biases")
+        try:
+            weights[k] = np.array(weights[k], dtype=np.float64).reshape(fan_out, fan_in)
+            biases[k] = np.array(biases[k], dtype=np.float64)
+        except OverflowError as exc:  # an int beyond float range
+            raise ModelFormatError(f"model file {path}: {exc}") from exc
     if not all(np.all(np.isfinite(a)) for a in (*weights, *biases)):
         raise ModelFormatError(f"model file {path}: non-finite weight or bias")
     return EncoderParams(layer_dims=layer_dims, weights=weights, biases=biases)

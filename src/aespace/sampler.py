@@ -6,9 +6,12 @@ With pair reference R = (score(a) + score(p)) / 2 (or score(a) when
 
     alpha < |score(a) - score(p)| / |R - score(n)| < beta     (strictly).
 
-A zero denominator counts as a rejection, not an error. Acceptance
-statistics are tracked per proposal so the size of the accepted-triple
-space can be estimated from the acceptance rate.
+A zero denominator counts as a rejection, not an error. ``collect_indices``
+returns accepted triples as one (3, k) int64 block with rows a, p and n;
+``window``, the one place the formula is written, gives any block's R (and
+so its pair_above flags, R > score(n)) and ratios. Acceptance statistics
+are tracked per proposal so the size of the accepted-triple space can be
+estimated from the acceptance rate.
 
 A sampler owns one RNG stream (numpy PCG64 seeded from its config) and is
 not safe to share across concurrent callers; run one instance per thread
@@ -58,6 +61,18 @@ class SamplerStats:
 _CHUNK = 2048
 
 
+def window(scores: np.ndarray, idx: np.ndarray, pair_ref: str):
+    """(R, ratio) of each column of a (3, m) index block, rows a, p and n.
+
+    The ratio is 0 where |R - score(n)| is 0, which no alpha >= 0 accepts.
+    """
+    s_a, s_p, s_n = scores[idx]
+    ref = 0.5 * (s_a + s_p) if pair_ref == "mean" else s_a
+    den = np.abs(ref - s_n)
+    ratio = np.divide(np.abs(s_a - s_p), den, out=np.zeros_like(den), where=den > 0)
+    return ref, ratio
+
+
 class TripletSampler:
     """Draws accepted triplets from a fixed score vector.
 
@@ -79,85 +94,49 @@ class TripletSampler:
 
     def _refill(self):
         """Draws the next chunk of proposals and indexes its acceptances once."""
-        n = self.scores.size
-        idx = self._rng.integers(0, n, size=(_CHUNK, 3))
-        a, p, neg = idx.T
-        distinct = (a != p) & (a != neg) & (p != neg)
-        s_a, s_p, s_n = self.scores[idx].T
-        if self.config.pair_ref == "mean":
-            ref = 0.5 * (s_a + s_p)
-        else:
-            ref = s_a
-        num = np.abs(s_a - s_p)
-        den = np.abs(ref - s_n)
-        ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        accept = (
-            distinct
-            & (den > 0)
-            & (ratio > self.config.alpha)
-            & (ratio < self.config.beta)
-        )
+        idx = self._rng.integers(0, self.scores.size, size=(_CHUNK, 3)).T
+        distinct = (idx[0] != idx[1]) & (idx[0] != idx[2]) & (idx[1] != idx[2])
+        _, ratio = window(self.scores, idx, self.config.pair_ref)
+        accept = distinct & (ratio > self.config.alpha) & (ratio < self.config.beta)
         self._hits = hits = np.flatnonzero(accept)
         # distinct proposals in positions [i, j) number seen[j] - seen[i]
         self._seen = np.zeros(_CHUNK + 1, dtype=np.int64)
         np.cumsum(distinct, out=self._seen[1:])
-        # accepted proposals in order: (3, m) indices, pair_above flags, ratios
-        self._accepted = (idx[hits].T, (ref > s_n)[hits], ratio[hits])
+        self._accepted = idx[:, hits]  # accepted proposals in order, (3, m)
         self._pos = 0
         self._next_hit = 0
 
-    def collect_indices(self, k: int):
-        """Accept ``k`` triplets; returns index/flag/ratio arrays of length k.
+    def collect_indices(self, k: int) -> np.ndarray:
+        """Accept ``k`` triplets; returns their (3, k) int64 indices, rows a, p, n.
 
-        Returns:
-            (a, p, n, pair_above, ratio) numpy arrays.
+        A ``k`` of 0 or less returns a (3, 0) array and consumes no proposal.
 
         Raises:
             SamplerStarvationError: ``max_proposals`` consecutive proposals
                 went by without an acceptance.
         """
-        if k <= 0:
-            empty = np.empty(0)
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool),
-                empty,
-            )
-        parts = []
-        got = 0
-        while got < k:
+        parts = [np.empty((3, 0), dtype=np.int64)]
+        while k > 0:
             if self._pos >= _CHUNK:
                 self._refill()
             hits, seen = self._hits, self._seen
             first = self._next_hit
-            stop = first + k - got
-            if stop <= hits.size:
-                cut = int(hits[stop - 1]) + 1
-            else:
-                stop = hits.size
-                cut = _CHUNK
+            stop = min(first + k, hits.size)
+            cut = int(hits[stop - 1]) + 1 if stop == first + k else _CHUNK
             consumed_distinct = int(seen[cut] - seen[self._pos])
             self.stats.proposed += consumed_distinct
             self.stats.accepted += stop - first
             if stop > first:
                 # proposals after the stretch's last acceptance stay pending
                 self._since_accept = int(seen[cut] - seen[hits[stop - 1] + 1])
-                parts.append(tuple(arr[..., first:stop] for arr in self._accepted))
-                got += stop - first
+                parts.append(self._accepted[:, first:stop])
+                k -= stop - first
             else:
                 self._since_accept += consumed_distinct
-            self._pos = cut
-            self._next_hit = stop
-            if got < k and self._since_accept >= self.config.max_proposals:
+            self._pos, self._next_hit = cut, stop
+            if k > 0 and self._since_accept >= self.config.max_proposals:
                 raise SamplerStarvationError(self._since_accept, self.stats.acceptance_rate)
-
-        if len(parts) == 1:
-            idx, above, ratio = parts[0]
-        else:
-            idx, above, ratio = (np.concatenate(col, axis=-1) for col in zip(*parts))
-        return idx[0], idx[1], idx[2], above, ratio
+        return np.concatenate(parts, axis=1)
 
 
 def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:

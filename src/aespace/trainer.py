@@ -143,11 +143,11 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
         proposed, accepted = samp.stats.proposed, samp.stats.accepted
         win_total = win_le = win_ld = 0.0
         for step in range(step + 1, last + 1):
-            a_idx, p_idx, n_idx, _, _ = samp.collect_indices(batch_size)
+            idx = samp.collect_indices(batch_size)
 
             # a, p and n rows embedded together: one forward and one backward pass per step
-            h = encoder._forward_pass(params, features[np.concatenate((a_idx, p_idx, n_idx))])
-            le, ld, grad = batch_loss(h[-1], scores[a_idx], scores[n_idx], config.loss)
+            h = encoder._forward_pass(params, features[idx.ravel()])
+            le, ld, grad = batch_loss(h[-1], scores[idx[0]], scores[idx[2]], config.loss)
             sum_le = float(np.add.reduce(le))
             sum_ld = float(np.add.reduce(ld))
             mean_total = float(np.add.reduce(le + ld)) / batch_size

@@ -94,7 +94,7 @@ def test_criterion_3_sampler_soundness_completeness():
     rng = np.random.default_rng(30)
     scores = rng.uniform(size=200)
     smp = TripletSampler(scores, config)
-    a, p, n, _, _ = smp.collect_indices(10_000)
+    a, p, n = smp.collect_indices(10_000)
     ref = 0.5 * (scores[a] + scores[p])
     ratio = np.abs(scores[a] - scores[p]) / np.abs(ref - scores[n])
     sound = (
@@ -115,7 +115,7 @@ def test_criterion_3_sampler_soundness_completeness():
     smp20 = TripletSampler(scores20, config)
     seen = set()
     while smp20.stats.proposed < 1_000_000:
-        a, p, n, _, _ = smp20.collect_indices(20_000)
+        a, p, n = smp20.collect_indices(20_000)
         seen.update(zip(a.tolist(), p.tolist(), n.tolist()))
     complete = seen == admissible
 

@@ -169,6 +169,29 @@ class TestSeedResolution:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("command", ["synth", "sample", "train"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys,
+                                          command, source):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--n", "20", "--din", "3", "--out", out],
+            "sample": ["--input", workspace["dataset"], "--out", out],
+            "train": ["--input", workspace["dataset"], "--steps", "1",
+                      "--model-out", out, "--log-out", tmp_path / "log.csv"],
+        }[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "-5")
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert ("--seed must be >= 0, got -1" if source == "flag"
+                else f"{cli.SEED_ENV_VAR} must be >= 0, got -5") in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     def rerun_identical(self, tmp_path, argv_for):
         a_out = tmp_path / "runa.out"
@@ -387,6 +410,23 @@ class TestBadArtifacts:
         code = run(command, "--model", model, data_flag, workspace["dataset"], "--out", out)
         assert code == 1
         assert f"aespace {command}: error: model file {model}: layer_dims" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([[[1, 2, 3], [4, 5, 6]]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6], [7]], [[0, 0, 0]]),
+        ([["1", 2, 3, 4, 5, 6]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6]], [[0, True, 0]]),
+    ], ids=["nested", "extra_layer", "string", "bool"])
+    def test_rank_rejects_malformed_weights(self, tmp_path, capsys, weights, biases):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"id": "r0", "views": 10, "faves": 2, "features": [0.5, 0.5]}) + "\n")
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(
+            {"version": 1, "layer_dims": [2, 3], "weights": weights, "biases": biases}))
+        out = tmp_path / "rank.csv"
+        assert run("rank", "--model", model, "--input", data, "--out", out) == 1
+        assert f"aespace rank: error: model file {model}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])

@@ -280,6 +280,51 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="layer_dims must be a list"):
             encoder.load(path)
 
+    @pytest.mark.parametrize("weights, biases", [
+        # a 2x3 matrix where the format wants a flat list of 6: was re-cut as 3x2
+        ([[[1, 2, 3], [4, 5, 6]]], [[0, 0, 0]]),
+        # a second weight entry for a one-layer model: was dropped
+        ([[1, 2, 3, 4, 5, 6], [7, 8]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6]], [[0, 0, 0], [0, 0, 0]]),
+        ([], []),
+        ({"0": [1, 2, 3, 4, 5, 6]}, [[0, 0, 0]]),
+        (None, [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6]], [[[0, 0, 0]]]),
+        ([[1, 2, 3, 4, 5]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6, 7]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6]], [[0, 0]]),
+        # JSON strings and booleans are not numbers: "1" and true loaded as 1.0
+        ([["1", 2, 3, 4, 5, 6]], [[0, 0, 0]]),
+        ([[True, 2, 3, 4, 5, 6]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6]], [[0, False, 0]]),
+        ([[None, 2, 3, 4, 5, 6]], [[0, 0, 0]]),
+        ([[1, 2, 3, 4, 5, 6]], "000"),
+    ], ids=["nested_matrix", "extra_weights", "extra_biases", "no_layers", "dict", "null",
+            "nested_bias", "short", "long", "short_bias", "string", "bool_weight", "bool_bias",
+            "null_weight", "string_biases"])
+    def test_weights_must_be_flat_number_lists(self, tmp_path, weights, biases):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"version": 1, "layer_dims": [2, 3], "weights": weights, "biases": biases}))
+        with pytest.raises(ModelFormatError, match=f"model file {path}"):
+            encoder.load(path)
+
+    def test_int_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"version": 1, "layer_dims": [1, 1], "weights": [[1%s]], "biases": [[0]]}'
+                        % ("0" * 400))
+        with pytest.raises(ModelFormatError, match="too large"):
+            encoder.load(path)
+
+    def test_ints_load_as_floats(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"version": 1, "layer_dims": [2, 3], '
+                        '"weights": [[1, 2, 3, 4, 5, 6]], "biases": [[0, 0.5, -1]]}')
+        params = encoder.load(path)
+        np.testing.assert_array_equal(params.weights[0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(params.biases[0], [0.0, 0.5, -1.0])
+        assert params.weights[0].dtype == params.biases[0].dtype == np.float64
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", ["weights", "biases"])
     def test_non_finite_rejected(self, tmp_path, part, value):

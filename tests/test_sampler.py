@@ -1,4 +1,6 @@
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aespace import cli, sampler
-from aespace.data_model import save_dataset
+from aespace.data_model import load_dataset, save_dataset
 from aespace.errors import ConfigError, EmptyInputError, SamplerStarvationError
 from aespace.sampler import (
     PAIR_REFS,
@@ -40,7 +42,7 @@ def enumerate_accepted(scores, alpha, beta, pair_ref="mean"):
 def drain_accepted_set(sampler, min_proposals):
     accepted = set()
     while sampler.stats.proposed < min_proposals:
-        a, p, n, _, _ = sampler.collect_indices(20000)
+        a, p, n = sampler.collect_indices(20000)
         accepted.update(zip(a.tolist(), p.tolist(), n.tolist()))
     return accepted
 
@@ -119,9 +121,17 @@ class OracleSampler:
         return idx[:, 0], idx[:, 1], idx[:, 2], above, ratio
 
 
-def _call(smp, k):
+def collect_five(smp, k):
+    """``collect_indices(k)`` with flags and ratios from ``window``: a, p, n, pair_above, ratio."""
+    idx = smp.collect_indices(k)
+    assert idx.shape == (3, max(k, 0)) and idx.dtype == np.int64 and idx.flags.c_contiguous
+    ref, ratio = sampler.window(smp.scores, idx, smp.config.pair_ref)
+    return (*idx, ref > smp.scores[idx[2]], ratio)
+
+
+def _call(collect, k):
     try:
-        return smp.collect_indices(k)
+        return collect(k)
     except SamplerStarvationError as exc:
         return str(exc)
 
@@ -130,7 +140,7 @@ def assert_same_calls(scores, config, ks):
     """Each call returns what the oracle's does, with its stats, or its error."""
     smp, oracle = TripletSampler(scores, config), OracleSampler(scores, config)
     for k in ks:
-        got, want = _call(smp, k), _call(oracle, k)
+        got, want = _call(lambda k: collect_five(smp, k), k), _call(oracle.collect_indices, k)
         if isinstance(want, str):
             assert got == want
             return
@@ -174,6 +184,35 @@ class TestMatchesOracle:
         assert_same_calls(scores, config, [hits.size - 1, 1, 1, 7])
 
 
+class TestWindow:
+    @pytest.mark.parametrize("pair_ref", PAIR_REFS)
+    def test_matches_scalar_recomputation(self, pair_ref):
+        # the mean of 0.1 and 0.3 ties the negative 0.2, two records tie at 0.9,
+        # and 0.1 sits below every other score
+        scores = np.array([0.2, 0.1, 0.3, 0.9, 0.9])
+        idx = np.array(list(itertools.permutations(range(5), 3))).T
+        ref, ratio = sampler.window(scores, idx, pair_ref)
+        zero_den = ties = 0
+        for j, (a, p, n) in enumerate(idx.T.tolist()):
+            want_ref = (scores[a] + scores[p]) / 2.0 if pair_ref == "mean" else scores[a]
+            den = abs(want_ref - scores[n])
+            assert ref[j] == want_ref
+            assert ratio[j] == (abs(scores[a] - scores[p]) / den if den else 0.0)
+            zero_den += den == 0.0
+            ties += scores[a] == scores[p]
+        assert zero_den > 0 and ties > 0
+
+    def test_zero_denominator_is_rejected_at_alpha_zero(self):
+        # (1, 2, 0) has a zero denominator; its ratio 0 is not > alpha = 0
+        scores = [0.2, 0.1, 0.3]
+        _, ratio = sampler.window(np.array(scores), np.array([[1], [2], [0]]), "mean")
+        assert ratio.tolist() == [0.0]
+        smp = TripletSampler(scores, SamplerConfig(alpha=0.0, beta=1e18, seed=3))
+        got = drain_accepted_set(smp, 5_000)
+        assert got == enumerate_accepted(scores, 0.0, 1e18)
+        assert (1, 2, 0) not in got
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = SamplerConfig()
@@ -208,7 +247,7 @@ class TestKnownFixtures:
         assert expected == {(0, 1, 2), (1, 0, 2)}
 
         smp = TripletSampler(scores, SamplerConfig(alpha=0.0, beta=0.5, seed=0))
-        a, p, n, above, ratio = smp.collect_indices(200)
+        a, p, n, above, ratio = collect_five(smp, 200)
         assert set(zip(a.tolist(), p.tolist(), n.tolist())) == expected
         np.testing.assert_allclose(ratio, 0.02 / 0.69, rtol=1e-9)
         assert not above.any()
@@ -245,7 +284,7 @@ class TestSoundness:
         scores = ds.scores()
         cfg = SamplerConfig(alpha=0.25, beta=0.75, seed=7)
         smp = TripletSampler(scores, cfg)
-        for a, p, n, above, got in zip(*(arr.tolist() for arr in smp.collect_indices(10_000))):
+        for a, p, n, above, got in zip(*(arr.tolist() for arr in collect_five(smp, 10_000))):
             assert len({a, p, n}) == 3
             ref = (scores[a] + scores[p]) / 2.0
             den = abs(ref - scores[n])
@@ -272,9 +311,8 @@ class TestCompleteness:
         smp = TripletSampler(scores, SamplerConfig(seed=10, pair_ref="anchor"))
         got = drain_accepted_set(smp, 200_000)
         assert got == expected
-        a, p, n, _, ratio = TripletSampler(
-            scores, SamplerConfig(seed=11, pair_ref="anchor")
-        ).collect_indices(500)
+        a, p, n, _, ratio = collect_five(
+            TripletSampler(scores, SamplerConfig(seed=11, pair_ref="anchor")), 500)
         scores = np.asarray(scores)
         expected = np.abs(scores[a] - scores[p]) / np.abs(scores[a] - scores[n])
         np.testing.assert_allclose(ratio, expected, rtol=1e-12)
@@ -290,11 +328,11 @@ class TestDeterminism:
 
     def test_call_pattern_does_not_change_stream(self):
         scores = generate(SynthConfig(n=50, d_in=2, seed=1)).scores()
-        ba, bp, bn, _, _ = TripletSampler(scores, SamplerConfig(seed=5)).collect_indices(60)
+        ba, bp, bn = TripletSampler(scores, SamplerConfig(seed=5)).collect_indices(60)
         single = TripletSampler(scores, SamplerConfig(seed=5))
         one_by_one = [single.collect_indices(1) for _ in range(60)]
         assert list(zip(ba.tolist(), bp.tolist(), bn.tolist())) == [
-            (int(a[0]), int(p[0]), int(n[0])) for a, p, n, _, _ in one_by_one
+            (int(a[0]), int(p[0]), int(n[0])) for a, p, n in one_by_one
         ]
 
 
@@ -313,12 +351,12 @@ class TestStats:
 
 class TestBalanceFraction:
     # the share of accepted triplets whose pair reference lies above the
-    # negative, read from collect_indices' pair_above flags
+    # negative, read from the pair_above flags ``window`` gives a collected block
 
     def test_all_above(self):
         # the close pair scores high and the only far record low
         smp = TripletSampler([0.9, 0.88, 0.2], SamplerConfig(alpha=0.0, beta=0.5, seed=0))
-        _, _, _, above, _ = smp.collect_indices(200)
+        above = collect_five(smp, 200)[3]
         assert above.mean() == 1.0
 
     def test_half(self):
@@ -326,22 +364,28 @@ class TestBalanceFraction:
         # a negative from the other, so half the accepted set lies above
         scores = [0.1, 0.12, 0.8, 0.82]
         smp = TripletSampler(scores, SamplerConfig(alpha=0.0, beta=0.5, seed=1))
-        a, p, n, above, _ = smp.collect_indices(2000)
+        a, p, n, above, _ = collect_five(smp, 2000)
         accepted = set(zip(a.tolist(), p.tolist(), n.tolist(), above.tolist()))
         assert {t[:3] for t in accepted} == enumerate_accepted(scores, 0.0, 0.5)
         assert sum(t[3] for t in accepted) / len(accepted) == 0.5
 
     def test_empty_request_draws_nothing(self):
         smp = TripletSampler([0.1, 0.5, 0.9], SamplerConfig())
-        arrays = smp.collect_indices(0)
+        for k in (0, -1, -64):
+            idx = smp.collect_indices(k)
+            assert idx.shape == (3, 0) and idx.dtype == np.int64
+            assert (smp.stats.proposed, smp.stats.accepted) == (0, 0)
+        arrays = collect_five(smp, 0)
         assert [arr.size for arr in arrays] == [0] * 5
         assert arrays[3].dtype == bool
-        assert smp.stats.proposed == 0
+        # the stream is where a fresh sampler's starts
+        np.testing.assert_array_equal(
+            smp.collect_indices(5), TripletSampler([0.1, 0.5, 0.9], SamplerConfig()).collect_indices(5))
 
     def test_near_balanced_on_uniform_scores(self):
         scores = generate(SynthConfig(n=500, d_in=2, seed=8)).scores()
         smp = TripletSampler(scores, SamplerConfig(alpha=0.25, beta=0.75, seed=4))
-        _, _, _, above, _ = smp.collect_indices(10_000)
+        above = collect_five(smp, 10_000)[3]
         assert 0.4 <= above.mean() <= 0.6
 
 
@@ -377,6 +421,7 @@ class TestCardinality:
 
 def run_sample(tmp_path, *flags):
     """Run the sample subcommand on a small synthetic dataset; returns the CSV path."""
+    tmp_path.mkdir(exist_ok=True)
     data = tmp_path / "d.jsonl"
     save_dataset(generate(SynthConfig(n=40, d_in=2, seed=2)), data)
     out = tmp_path / "t.csv"
@@ -390,7 +435,7 @@ class TestOutputs:
         lines = out.read_text().splitlines()
         assert lines[0] == "a,p,n,pair_above,ratio"
         scores = generate(SynthConfig(n=40, d_in=2, seed=2)).scores()
-        arrays = TripletSampler(scores, SamplerConfig(seed=6)).collect_indices(50)
+        arrays = collect_five(TripletSampler(scores, SamplerConfig(seed=6)), 50)
         expected = [
             f"{a},{p},{n},{'true' if above else 'false'},{ratio!r}"
             for a, p, n, above, ratio in zip(*(arr.tolist() for arr in arrays))
@@ -411,3 +456,45 @@ class TestOutputs:
         stats = meta["stats"]
         assert stats["accepted"] == 20
         assert stats["acceptance_rate"] == stats["accepted"] / stats["proposed"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--count", "50", "--seed", "6"),
+        ("--count", "50", "--seed", "7", "--pair-ref", "anchor", "--alpha", "0.1", "--beta", "0.3"),
+    ], ids=["mean", "anchor"])
+    def test_blocks_do_not_change_the_output(self, tmp_path, monkeypatch, flags):
+        whole = run_sample(tmp_path / "whole", *flags)
+        requests = []
+        collect = TripletSampler.collect_indices
+
+        def spy(self, k):
+            requests.append(k)
+            return collect(self, k)
+
+        monkeypatch.setattr(TripletSampler, "collect_indices", spy)
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 7)
+        blocks = run_sample(tmp_path / "blocks", *flags)
+        assert requests == [7] * 7 + [1]
+        assert blocks.read_bytes() == whole.read_bytes()
+        stats = [json.loads(Path(f"{out}.meta.json").read_text())["stats"] for out in (whole, blocks)]
+        assert stats[0] == stats[1]
+
+    def test_starving_after_a_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # one close pair and one far record: 2 of the 6 distinct orders are
+        # accepted, and a budget of 1 starves at the first chunk's end
+        data = tmp_path / "d.jsonl"
+        data.write_text("".join(
+            json.dumps({"id": f"r{i}", "views": 1000, "faves": faves, "features": [0.0]}) + "\n"
+            for i, faves in enumerate((10, 11, 900))))
+        flags = dict(alpha=0.0, beta=0.5, seed=4, max_proposals=1)
+        smp = TripletSampler(load_dataset(data).scores(), SamplerConfig(**flags))
+        smp.collect_indices(64)  # at least one whole block is written first
+        with pytest.raises(SamplerStarvationError):
+            smp.collect_indices(1000)
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 64)
+        out = tmp_path / "t.csv"
+        code = cli.main(["sample", "--input", str(data), "--count", "1000", "--alpha", "0",
+                         "--beta", "0.5", "--seed", "4", "--max-proposals", "1",
+                         "--out", str(out)])
+        assert code == 1
+        assert "no acceptable triplet" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]

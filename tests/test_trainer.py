@@ -197,7 +197,7 @@ def reference_train(dataset, config):
         if lr < trainer.LR_FLOOR:
             break
         proposed, accepted = samp.stats.proposed, samp.stats.accepted
-        a_idx, p_idx, n_idx, _, _ = samp.collect_indices(config.batch_size)
+        a_idx, p_idx, n_idx = samp.collect_indices(config.batch_size)
         win_proposed += samp.stats.proposed - proposed
         win_accepted += samp.stats.accepted - accepted
 
