@@ -74,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"aespace {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
 
-    window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--alpha", type=float, default=0.25, help="lower ratio bound (default 0.25)")
-    window.add_argument("--beta", type=float, default=0.75, help="upper ratio bound (default 0.75)")
-    window.add_argument("--pair-ref", choices=("mean", "anchor"), default="mean",
-                        help="pair reference in the ratio denominator (default mean)")
+    window_flags = argparse.ArgumentParser(add_help=False)
+    window_flags.add_argument("--alpha", type=float, default=0.25, help="lower ratio bound (default 0.25)")
+    window_flags.add_argument("--beta", type=float, default=0.75, help="upper ratio bound (default 0.75)")
+    window_flags.add_argument("--pair-ref", choices=("mean", "anchor"), default="mean",
+                              help="pair reference in the ratio denominator (default mean)")
 
     model_input = argparse.ArgumentParser(add_help=False)
     model_input.add_argument("--model", required=True, help="model file path (JSON)")
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (id,score)")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("sample", parents=[window], help="draw training triplets and dump them")
+    p = sub.add_parser("sample", parents=[window_flags], help="draw training triplets and dump them")
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
     p.add_argument("--count", type=int, default=1000, help="triplets to draw (default 1000)")
     p.add_argument("--max-proposals", type=int, default=1_000_000,
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path (a,p,n,pair_above,ratio)")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("train", parents=[window], help="train the encoder on sampled triplets")
+    p = sub.add_parser("train", parents=[window_flags], help="train the encoder on sampled triplets")
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
     p.add_argument("--embed-dim", type=int, default=16, help="embedding dimension (default 16)")
     p.add_argument("--hidden", type=_parse_dims, default=(64, 32),

@@ -4,11 +4,17 @@ Hidden layers apply an affine map followed by a rectifier max(0, x); the
 final layer is a plain affine projection. All arithmetic is float64.
 Weights initialize from a zero-mean normal with std sqrt(2 / fan_in),
 biases from zero. The rectifier derivative at exactly 0 is taken as 0.
+
+``EncoderParams`` owns one flat buffer holding every weight, then every
+bias; its per-layer arrays are views into it, so one array operation
+updates every layer. Gradients are an ``EncoderParams`` over a second buffer
+of the same size. This module alone decides that layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,11 +28,21 @@ MODEL_FILE_VERSION = 1
 
 @dataclass
 class EncoderParams:
-    """Layer sizes plus per-layer weight matrices (fan_out, fan_in) and biases."""
+    """Layer sizes plus one float64 buffer: every weight, then every bias.
+
+    ``weights[k]`` (fan_out, fan_in) and ``biases[k]`` are views into ``flat``,
+    built once here; a buffer of the wrong size fails to reshape.
+    """
 
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        shapes = [*zip(dims[1:], dims[:-1]), *((d,) for d in dims[1:])]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        views = [part.reshape(shape) for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
+        self.weights, self.biases = views[:len(dims) - 1], views[len(dims) - 1:]
 
     @property
     def d_in(self) -> int:
@@ -35,14 +51,6 @@ class EncoderParams:
     @property
     def d_out(self) -> int:
         return self.layer_dims[-1]
-
-
-@dataclass
-class EncoderGrads:
-    """Parameter gradients with the same shapes as EncoderParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
 
 def init(layer_dims: list[int], seed: int) -> EncoderParams:
@@ -56,14 +64,12 @@ def init(layer_dims: list[int], seed: int) -> EncoderParams:
     if any(int(d) < 1 for d in layer_dims):
         raise ConfigError(f"layer dims must be positive, got {layer_dims}")
     layer_dims = [int(d) for d in layer_dims]
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+    params = EncoderParams(layer_dims, np.zeros(size))
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EncoderParams(layer_dims=layer_dims, weights=weights, biases=biases)
+    for w in params.weights:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    return params
 
 
 def _as_batch(x, d_in):
@@ -74,6 +80,7 @@ def _as_batch(x, d_in):
     if x.ndim != 2 or x.shape[1] != d_in:
         raise ShapeError(f"input shape {x.shape} incompatible with d_in={d_in}")
     return x, single
+
 
 def _forward_pass(params, x):
     """Post-activations per layer (h[0] = x), each bias add and rectifier in place."""
@@ -88,7 +95,7 @@ def _forward_pass(params, x):
     return h
 
 
-def _backward_pass(params, h, grad, grads_out: EncoderGrads) -> np.ndarray:
+def _backward_pass(params, h, grad, grads_out: EncoderParams) -> np.ndarray:
     """Writes the parameter gradients of sum_i <grad[i], h[-1][i]> into ``grads_out``.
 
     ``h`` is what ``_forward_pass`` returned. A hidden unit passes gradient
@@ -113,7 +120,7 @@ def forward(params: EncoderParams, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def backward(params: EncoderParams, x, grad_phi) -> tuple[EncoderGrads, np.ndarray]:
+def backward(params: EncoderParams, x, grad_phi) -> tuple[EncoderParams, np.ndarray]:
     """Gradients of <grad_phi, forward(x)> wrt every weight, bias, and x.
 
     For 2-D inputs the scalar differentiated is the sum over rows of
@@ -127,10 +134,7 @@ def backward(params: EncoderParams, x, grad_phi) -> tuple[EncoderGrads, np.ndarr
     if gb.shape != (xb.shape[0], params.d_out):
         raise ShapeError(f"grad_phi shape {np.asarray(grad_phi).shape} incompatible with output dim {params.d_out}")
 
-    grads = EncoderGrads(
-        weights=[np.empty_like(w) for w in params.weights],
-        biases=[np.empty_like(b) for b in params.biases],
-    )
+    grads = EncoderParams(params.layer_dims, np.empty_like(params.flat))
     delta = _backward_pass(params, _forward_pass(params, xb), gb, grads)
     grad_x = delta @ params.weights[0]
     return grads, grad_x[0] if single else grad_x
@@ -190,11 +194,10 @@ def load(path: str | Path) -> EncoderParams:
             raise ModelFormatError(
                 f"model file {path}: layer {k} needs flat lists of {fan_in * fan_out} weights"
                 f" and {fan_out} biases")
-        try:
-            weights[k] = np.array(weights[k], dtype=np.float64).reshape(fan_out, fan_in)
-            biases[k] = np.array(biases[k], dtype=np.float64)
-        except OverflowError as exc:  # an int beyond float range
-            raise ModelFormatError(f"model file {path}: {exc}") from exc
-    if not all(np.all(np.isfinite(a)) for a in (*weights, *biases)):
+    try:
+        flat = np.array([v for values in (*weights, *biases) for v in values], dtype=np.float64)
+    except OverflowError as exc:  # an int beyond float range
+        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    if not np.isfinite(flat).all():
         raise ModelFormatError(f"model file {path}: non-finite weight or bias")
-    return EncoderParams(layer_dims=layer_dims, weights=weights, biases=biases)
+    return EncoderParams(layer_dims, flat)

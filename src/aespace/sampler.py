@@ -103,6 +103,12 @@ class TripletSampler:
         self._seen = np.zeros(_CHUNK + 1, dtype=np.int64)
         np.cumsum(distinct, out=self._seen[1:])
         self._accepted = idx[:, hits]  # accepted proposals in order, (3, m)
+        # gaps: 1 + the distinct rejections before each acceptance, the first
+        # run carrying the last chunk's tail; the first run at or over budget starves
+        at = self._seen[hits]
+        gaps = at - np.concatenate(([-1 - self._since_accept], at[:-1]))
+        over = np.flatnonzero(gaps > self.config.max_proposals)
+        self._starve_at = int(over[0]) if over.size else hits.size
         self._pos = 0
         self._next_hit = 0
 
@@ -112,8 +118,8 @@ class TripletSampler:
         A ``k`` of 0 or less returns a (3, 0) array and consumes no proposal.
 
         Raises:
-            SamplerStarvationError: ``max_proposals`` consecutive proposals
-                went by without an acceptance.
+            SamplerStarvationError: ``max_proposals`` consecutive distinct
+                proposals went by without an acceptance, wherever the run falls.
         """
         parts = [np.empty((3, 0), dtype=np.int64)]
         while k > 0:
@@ -121,8 +127,11 @@ class TripletSampler:
                 self._refill()
             hits, seen = self._hits, self._seen
             first = self._next_hit
-            stop = min(first + k, hits.size)
-            cut = int(hits[stop - 1]) + 1 if stop == first + k else _CHUNK
+            stop = min(first + k, self._starve_at)
+            if stop == first + k:
+                cut = int(hits[stop - 1]) + 1
+            else:  # up to the chunk's end, or to the acceptance out of budget, which stays pending
+                cut = int(hits[stop]) if stop < hits.size else _CHUNK
             consumed_distinct = int(seen[cut] - seen[self._pos])
             self.stats.proposed += consumed_distinct
             self.stats.accepted += stop - first

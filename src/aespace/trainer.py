@@ -85,30 +85,6 @@ def derive_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _pack(params: encoder.EncoderParams):
-    """Moves every weight and bias into one buffer, with a gradient buffer to match.
-
-    ``params.weights[k]`` and ``params.biases[k]`` become views into the
-    returned parameter buffer, so one array operation updates every layer.
-
-    Returns:
-        (parameter buffer, gradient buffer, EncoderGrads viewing the latter).
-    """
-    arrays = [*params.weights, *params.biases]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    grad_flat = np.empty_like(flat)
-    views, grad_views = [], []
-    start = 0
-    for a in arrays:
-        stop = start + a.size
-        views.append(flat[start:stop].reshape(a.shape))
-        grad_views.append(grad_flat[start:stop].reshape(a.shape))
-        start = stop
-    layers = len(params.weights)
-    params.weights, params.biases = views[:layers], views[layers:]
-    return flat, grad_flat, encoder.EncoderGrads(grad_views[:layers], grad_views[layers:])
-
-
 def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams, TrainLog]:
     """Fit the encoder to a dataset's triplet stream.
 
@@ -124,7 +100,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     init_seed, sampler_seed = derive_seeds(config.seed)
     layer_dims = [dataset.d_in, *config.hidden_dims, config.embed_dim]
     params = encoder.init(layer_dims, init_seed)
-    flat, grad_flat, grads = _pack(params)
+    grads = encoder.EncoderParams(layer_dims, np.empty_like(params.flat))
+    flat, grad_flat = params.flat, grads.flat
     batch_size = config.batch_size
     inv_b = 1.0 / batch_size
 

@@ -40,8 +40,8 @@ class KalmanConfig:
     def validate(self) -> None:
         if not 0 <= self.q < np.inf:
             raise ConfigError(f"process noise q must be finite and >= 0, got {self.q}")
-        if not self.r > 0:
-            raise ConfigError(f"measurement noise r must be > 0, got {self.r}")
+        if not 0 < self.r < np.inf:
+            raise ConfigError(f"measurement noise r must be finite and > 0, got {self.r}")
         if not 0 < self.p0 < np.inf:
             raise ConfigError(f"initial variance p0 must be finite and > 0, got {self.p0}")
 

@@ -154,10 +154,7 @@ def test_criterion_4_gradient_oracle():
             continue
         instances += 1
 
-        grads = encoder.EncoderGrads(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-        )
+        grads = encoder.EncoderParams(params.layer_dims, np.zeros_like(params.flat))
         for x, g_phi in zip(xs, (result.grad_a, result.grad_p, result.grad_n)):
             part, _ = encoder.backward(params, x, g_phi)
             for acc, w in zip(grads.weights, part.weights):

@@ -62,7 +62,7 @@ class TestExitCodes:
         ("video", "--q", "nan"), ("video", "--r", "nan"), ("video", "--min-prom", "nan"),
         ("synth", "--n", "10", "--din", "4", "--noise", "nan"),
         ("train", "--lr", "nan"), ("train", "--margin", "nan"), ("train", "--dir-margin", "nan"),
-        ("train", "--margin", "inf"), ("train", "--lr", "inf"),
+        ("train", "--margin", "inf"), ("train", "--lr", "inf"), ("video", "--r", "inf"),
     ])
     def test_nan_flag_is_usage_error(self, workspace, tmp_path, capsys, argv):
         out = tmp_path / "out"

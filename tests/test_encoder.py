@@ -217,6 +217,44 @@ class TestCompositionGradient:
         assert checked == 10
 
 
+class TestParameterBuffer:
+    @pytest.mark.parametrize("source", ["init", "load", "backward"])
+    def test_layers_are_views_of_flat(self, tmp_path, source):
+        params = encoder.init([3, 5, 2], seed=11)
+        if source == "load":
+            encoder.save(params, tmp_path / "m.json")
+            params = encoder.load(tmp_path / "m.json")
+        elif source == "backward":
+            params, _ = encoder.backward(params, np.ones(3), np.ones(2))
+        assert params.flat.dtype == np.float64
+        arrays = (*params.weights, *params.biases)
+        assert all(np.shares_memory(a, params.flat) for a in arrays)
+        # every weight row-major, then every bias
+        np.testing.assert_array_equal(params.flat, np.concatenate([a.ravel() for a in arrays]))
+        x = np.array([0.5, -1.0, 2.0])
+        params.flat[:] = 0.0
+        np.testing.assert_array_equal(encoder.forward(params, x), [0.0, 0.0])
+        params.flat[-2:] = [1.5, -2.0]  # the last layer's biases
+        np.testing.assert_array_equal(encoder.forward(params, x), [1.5, -2.0])
+
+    def test_init_draws_layer_by_layer(self):
+        params = encoder.init([3, 5, 2], seed=11)
+        rng = np.random.default_rng(11)
+        for w in params.weights:
+            np.testing.assert_array_equal(w, rng.normal(0.0, math.sqrt(2.0 / w.shape[1]), size=w.shape))
+
+    def test_save_load_reproduces_flat(self, tmp_path):
+        params = encoder.init([4, 6, 3], seed=31)
+        params.flat[-3:] = [0.1, -2.5e-300, 7.0]
+        encoder.save(params, tmp_path / "m.json")
+        np.testing.assert_array_equal(encoder.load(tmp_path / "m.json").flat, params.flat)
+
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_buffer_of_wrong_size_rejected(self, size):
+        with pytest.raises(ValueError):
+            encoder.EncoderParams([2, 3], np.zeros(size))
+
+
 class TestSaveLoad:
     def test_round_trip_exact(self, tmp_path):
         params = encoder.init([4, 6, 3], seed=31)

@@ -100,6 +100,13 @@ class OracleSampler:
             else:
                 cut = sampler._CHUNK
                 take = pos + hits
+            if take.size:  # an acceptance after a run of max_proposals rejections starves
+                starts = np.concatenate(([pos], take[:-1] + 1))
+                runs = [int(np.count_nonzero(distinct[a:b])) for a, b in zip(starts, take)]
+                runs[0] += self._since_accept
+                over = [j for j, run in enumerate(runs) if run >= self.config.max_proposals]
+                if over:
+                    cut, take = int(take[over[0]]), take[: over[0]]
             consumed_distinct = int(np.count_nonzero(distinct[pos:cut]))
             self.stats.proposed += consumed_distinct
             self.stats.accepted += take.size
@@ -266,6 +273,23 @@ class TestKnownFixtures:
             smp.collect_indices(1)
         assert exc.value.acceptance_rate == 0.0
         assert exc.value.proposals >= 2000
+
+    @pytest.mark.parametrize("budget, run", [(1, 2), (13, 13)])
+    def test_rejection_run_between_acceptances_starves(self, budget, run):
+        # faves 10, 11 and 900 of 1,000 views: one distinct order in three is
+        # accepted, and at seed 0 a run of 13 rejections sits between two
+        # acceptances well inside the first chunk, before the 100th acceptance
+        scores = np.log([10, 11, 900]) / np.log(1000)
+
+        def make(budget):
+            return TripletSampler(scores, SamplerConfig(alpha=0.0, beta=0.5, seed=0, max_proposals=budget))
+
+        smp = make(budget)
+        with pytest.raises(SamplerStarvationError) as exc:
+            smp.collect_indices(100)
+        assert exc.value.proposals == run
+        assert smp.stats.proposed < sampler._CHUNK
+        assert make(14).collect_indices(100).shape == (3, 100)
 
     def test_exact_tie_denominator_rejected(self):
         # mean of 0.1 and 0.3 equals the negative's score exactly
@@ -480,12 +504,12 @@ class TestOutputs:
 
     def test_starving_after_a_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # one close pair and one far record: 2 of the 6 distinct orders are
-        # accepted, and a budget of 1 starves at the first chunk's end
+        # accepted, and a budget of 12 lets 64 through but starves before 1,000
         data = tmp_path / "d.jsonl"
         data.write_text("".join(
             json.dumps({"id": f"r{i}", "views": 1000, "faves": faves, "features": [0.0]}) + "\n"
             for i, faves in enumerate((10, 11, 900))))
-        flags = dict(alpha=0.0, beta=0.5, seed=4, max_proposals=1)
+        flags = dict(alpha=0.0, beta=0.5, seed=4, max_proposals=12)
         smp = TripletSampler(load_dataset(data).scores(), SamplerConfig(**flags))
         smp.collect_indices(64)  # at least one whole block is written first
         with pytest.raises(SamplerStarvationError):
@@ -493,7 +517,7 @@ class TestOutputs:
         monkeypatch.setattr(cli, "SAMPLE_BLOCK", 64)
         out = tmp_path / "t.csv"
         code = cli.main(["sample", "--input", str(data), "--count", "1000", "--alpha", "0",
-                         "--beta", "0.5", "--seed", "4", "--max-proposals", "1",
+                         "--beta", "0.5", "--seed", "4", "--max-proposals", "12",
                          "--out", str(out)])
         assert code == 1
         assert "no acceptable triplet" in capsys.readouterr().err

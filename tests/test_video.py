@@ -83,7 +83,7 @@ class TestConfigs:
         [
             dict(q=-1e-9), dict(r=0.0), dict(r=-1.0), dict(p0=0.0),
             dict(q=float("nan")), dict(r=float("nan")), dict(p0=float("nan")),
-            dict(q=float("inf")), dict(p0=float("inf")),
+            dict(q=float("inf")), dict(p0=float("inf")), dict(r=float("inf")),
         ],
     )
     def test_invalid_kalman(self, kwargs):
