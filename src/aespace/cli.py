@@ -10,7 +10,8 @@ package version, and wall-clock duration. The sidecar is skipped when the
 primary output is not a regular file (a pipe or a device). All outputs
 except the duration field are deterministic for fixed flags.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. A ``ConfigError``,
+raised only while a config is built from the flags, is a usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from . import __version__, data_model, encoder, ranker, synth, trainer, video
 from .errors import AespaceError, ConfigError, InputError
 from .loss import LossConfig
-from .sampler import SamplerConfig, TripletSampler, window
+from .sampler import PAIR_REFS, SamplerConfig, TripletSampler, window
 from .trainer import TrainConfig
 from .video import KalmanConfig, PeakConfig
 
@@ -75,10 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
 
     window_flags = argparse.ArgumentParser(add_help=False)
-    window_flags.add_argument("--alpha", type=float, default=0.25, help="lower ratio bound (default 0.25)")
-    window_flags.add_argument("--beta", type=float, default=0.75, help="upper ratio bound (default 0.75)")
-    window_flags.add_argument("--pair-ref", choices=("mean", "anchor"), default="mean",
-                              help="pair reference in the ratio denominator (default mean)")
+    window_flags.add_argument("--alpha", type=float, default=SamplerConfig.alpha,
+                              help="lower ratio bound (default %(default)s)")
+    window_flags.add_argument("--beta", type=float, default=SamplerConfig.beta,
+                              help="upper ratio bound (default %(default)s)")
+    window_flags.add_argument("--pair-ref", choices=PAIR_REFS, default=SamplerConfig.pair_ref,
+                              help="pair reference in the ratio denominator (default %(default)s)")
 
     model_input = argparse.ArgumentParser(add_help=False)
     model_input.add_argument("--model", required=True, help="model file path (JSON)")
@@ -87,10 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True, help="number of records")
     p.add_argument("--din", type=int, required=True, help="feature dimension (>= 2)")
-    p.add_argument("--noise", type=float, default=0.0, help="feature noise sigma (default 0.0)")
+    p.add_argument("--noise", type=float, default=synth.SynthConfig.noise_sigma,
+                   help="feature noise sigma (default %(default)s)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--view-lo", type=int, default=100, help="minimum view count (default 100)")
-    p.add_argument("--view-hi", type=int, default=100_000, help="maximum view count (default 100000)")
+    p.add_argument("--view-lo", type=int, default=synth.SynthConfig.view_range[0],
+                   help="minimum view count (default %(default)s)")
+    p.add_argument("--view-hi", type=int, default=synth.SynthConfig.view_range[1],
+                   help="maximum view count (default %(default)s)")
     p.add_argument("--out", required=True, help="output dataset path (JSONL)")
     p.set_defaults(func=_cmd_synth)
 
@@ -102,22 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[window_flags], help="draw training triplets and dump them")
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
     p.add_argument("--count", type=int, default=1000, help="triplets to draw (default 1000)")
-    p.add_argument("--max-proposals", type=int, default=1_000_000,
-                   help="starvation budget between acceptances (default 1000000)")
+    p.add_argument("--max-proposals", type=int, default=SamplerConfig.max_proposals,
+                   help="starvation budget between acceptances (default %(default)s)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path (a,p,n,pair_above,ratio)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("train", parents=[window_flags], help="train the encoder on sampled triplets")
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
-    p.add_argument("--embed-dim", type=int, default=16, help="embedding dimension (default 16)")
-    p.add_argument("--hidden", type=_parse_dims, default=(64, 32),
-                   help="hidden layer widths, comma separated (default 64,32)")
-    p.add_argument("--margin", type=float, default=0.2, help="triplet margin m (default 0.2)")
-    p.add_argument("--dir-margin", type=float, default=0.1,
-                   help="directional margin (default 0.1)")
-    p.add_argument("--lr", type=float, default=1e-3, help="initial learning rate (default 0.001)")
-    p.add_argument("--batch", type=int, default=64, help="triplets per step (default 64)")
+    p.add_argument("--embed-dim", type=int, default=TrainConfig.embed_dim,
+                   help="embedding dimension (default %(default)s)")
+    p.add_argument("--hidden", type=_parse_dims, default=TrainConfig.hidden_dims,
+                   help="hidden layer widths, comma separated (default %(default)s)")
+    p.add_argument("--margin", type=float, default=LossConfig.margin_m,
+                   help="triplet margin m (default %(default)s)")
+    p.add_argument("--dir-margin", type=float, default=LossConfig.margin_md,
+                   help="directional margin (default %(default)s)")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr_init,
+                   help="initial learning rate (default %(default)s)")
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                   help="triplets per step (default %(default)s)")
     p.add_argument("--steps", type=int, required=True, help="number of SGD steps")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--model-out", required=True, help="model file path (JSON)")
@@ -147,10 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("video", help="score a frame sequence, smooth it, mark peaks")
     p.add_argument("--model", required=True, help="model file path (JSON)")
     p.add_argument("--frames", required=True, help="frame records path (JSONL, temporal order)")
-    p.add_argument("--q", type=float, default=1e-4, help="process noise variance (default 1e-4)")
-    p.add_argument("--r", type=float, default=1e-2, help="measurement noise variance (default 0.01)")
-    p.add_argument("--min-sep", type=int, default=1, help="minimum peak separation (default 1)")
-    p.add_argument("--min-prom", type=float, default=0.0, help="minimum peak prominence (default 0)")
+    p.add_argument("--q", type=float, default=KalmanConfig.q,
+                   help="process noise variance (default %(default)s)")
+    p.add_argument("--r", type=float, default=KalmanConfig.r,
+                   help="measurement noise variance (default %(default)s)")
+    p.add_argument("--min-sep", type=int, default=PeakConfig.min_separation,
+                   help="minimum peak separation (default %(default)s)")
+    p.add_argument("--min-prom", type=float, default=PeakConfig.min_prominence,
+                   help="minimum peak prominence (default %(default)s)")
     p.add_argument("--out", required=True,
                    help="output CSV path (frame,raw_score,smoothed_score,is_peak)")
     p.set_defaults(func=_cmd_video)
@@ -158,23 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validated(config):
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise _UsageError(str(exc))
-    return config
-
-
 def _cmd_synth(args):
     seed = _resolve_seed(args.seed)
-    config = _validated(synth.SynthConfig(
+    config = synth.SynthConfig(
         n=args.n,
         d_in=args.din,
         noise_sigma=args.noise,
         seed=seed,
         view_range=(args.view_lo, args.view_hi),
-    ))
+    )
     dataset = synth.generate(config)
     data_model.save_dataset(dataset, args.out)
     sidecar = f"{args.out}.sidecar.json"
@@ -191,13 +197,13 @@ def _cmd_score(args):
 
 def _cmd_sample(args):
     seed = _resolve_seed(args.seed)
-    config = _validated(SamplerConfig(
+    config = SamplerConfig(
         alpha=args.alpha,
         beta=args.beta,
         seed=seed,
         pair_ref=args.pair_ref,
         max_proposals=args.max_proposals,
-    ))
+    )
     if args.count < 0:
         raise _UsageError(f"--count must be >= 0, got {args.count}")
     dataset = data_model.load_dataset(args.input)
@@ -226,7 +232,7 @@ def _cmd_sample(args):
 
 def _cmd_train(args):
     seed = _resolve_seed(args.seed)
-    config = _validated(TrainConfig(
+    config = TrainConfig(
         max_steps=args.steps,
         lr_init=args.lr,
         batch_size=args.batch,
@@ -241,7 +247,9 @@ def _cmd_train(args):
         ),
         sampler=SamplerConfig(alpha=args.alpha, beta=args.beta, pair_ref=args.pair_ref,
                               seed=trainer.derive_seeds(seed)[1]),
-    ))
+    )
+    if os.path.realpath(args.model_out) == os.path.realpath(args.log_out):
+        raise _UsageError(f"--model-out and --log-out name the same file: {args.model_out}")
     dataset = data_model.load_dataset(args.input)
     params, log = trainer.train(dataset, config)
     encoder.save(params, args.model_out)
@@ -255,7 +263,7 @@ def _load_model_and_dataset(args):
     params = encoder.load(args.model)
     dataset = data_model.load_dataset(args.input)
     if dataset.d_in is not None and dataset.d_in != params.d_in:
-        raise ConfigError(
+        raise InputError(
             f"model expects {params.d_in} features, dataset has {dataset.d_in}"
         )
     return params, dataset
@@ -296,8 +304,8 @@ def _cmd_eval(args):
 
 
 def _cmd_video(args):
-    kalman = _validated(KalmanConfig(q=args.q, r=args.r))
-    peaks_cfg = _validated(PeakConfig(min_separation=args.min_sep, min_prominence=args.min_prom))
+    kalman = KalmanConfig(q=args.q, r=args.r)
+    peaks_cfg = PeakConfig(min_separation=args.min_sep, min_prominence=args.min_prom)
     params = encoder.load(args.model)
     ids, features = video.load_frames(args.frames)
     raw = video.score_sequence(params, features)
@@ -331,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             with data_model.open_atomic(f"{primary}.meta.json") as fh:
                 json.dump(meta, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"aespace {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2

@@ -163,7 +163,7 @@ def load(path: str | Path) -> EncoderParams:
     """Read a model file written by ``save``.
 
     Raises:
-        ModelVersionError: The file declares an unsupported version.
+        ModelVersionError: The file's version is not the JSON integer 1.
         ModelFormatError: The file is not valid JSON, its layer_dims are
             not two or more positive integers, it does not hold one weight
             and one bias entry per layer, each a flat list of exactly
@@ -177,8 +177,9 @@ def load(path: str | Path) -> EncoderParams:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise ModelFormatError(f"model file {path} lacks a version header")
-    if payload["version"] != MODEL_FILE_VERSION:
-        raise ModelVersionError(payload["version"], MODEL_FILE_VERSION)
+    version = payload["version"]
+    if type(version) is not int or version != MODEL_FILE_VERSION:  # true and 1.0 equal 1
+        raise ModelVersionError(version, MODEL_FILE_VERSION)
 
     layer_dims = payload.get("layer_dims")
     if not (isinstance(layer_dims, list) and len(layer_dims) >= 2 and all(

@@ -26,7 +26,7 @@ class FormatError(AespaceError):
 
 
 class ConfigError(AespaceError):
-    """A configuration value is invalid or inconsistent with the data."""
+    """A config value is out of bounds: raised while a config or encoder is built."""
 
 
 class ShapeError(AespaceError):
@@ -38,7 +38,7 @@ class EmptyInputError(AespaceError):
 
 
 class InputError(AespaceError):
-    """Aligned inputs disagree (mismatched lengths or id sets)."""
+    """The data does not fit: mismatched lengths, ids or widths, or too few records."""
 
 
 class NonFiniteError(AespaceError):

@@ -39,7 +39,7 @@ class LossConfig:
     directional_enabled: bool = True
     literal_sign_form: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.margin_m) and math.isfinite(self.margin_md)):
             raise ConfigError(
                 f"margins must be finite, got margin_m={self.margin_m}, margin_md={self.margin_md}"

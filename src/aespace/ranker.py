@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoder
 from .data_model import Dataset
-from .errors import ConfigError, InputError, NonFiniteError
+from .errors import InputError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,13 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
         (id, projection score) pairs, best first.
 
     Raises:
-        ConfigError: Dataset feature length does not match the encoder input.
+        InputError: Dataset feature length does not match the encoder input.
         NonFiniteError: The model output is NaN or infinite for some record.
     """
     if len(dataset) == 0:
         return []
     if dataset.d_in != params.d_in:
-        raise ConfigError(f"dataset d_in={dataset.d_in} but encoder expects {params.d_in}")
+        raise InputError(f"dataset d_in={dataset.d_in} but encoder expects {params.d_in}")
     norms = projection_score(embed(params, dataset.features)).tolist()
     order = sorted(range(len(norms)), key=lambda i: (-norms[i], dataset.ids[i]))
     return [(dataset.ids[i], norms[i]) for i in order]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, SamplerStarvationError
+from .errors import ConfigError, EmptyInputError, InputError, SamplerStarvationError
 
 PAIR_REFS = ("mean", "anchor")
 
@@ -39,7 +39,7 @@ class SamplerConfig:
     pair_ref: str = "mean"
     max_proposals: int = 1_000_000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.alpha < self.beta:
             raise ConfigError(f"need 0 <= alpha < beta, got alpha={self.alpha}, beta={self.beta}")
         if self.pair_ref not in PAIR_REFS:
@@ -79,13 +79,15 @@ class TripletSampler:
     Args:
         scores: Per-record scores aligned with the dataset order; >= 3 entries.
         config: Window bounds, seed, pair reference, and proposal budget.
+
+    Raises:
+        InputError: Fewer than 3 scores (a config is valid once built).
     """
 
     def __init__(self, scores, config: SamplerConfig = SamplerConfig()):
-        config.validate()
         self.scores = np.asarray(scores, dtype=np.float64)
         if self.scores.ndim != 1 or self.scores.size < 3:
-            raise ConfigError(f"need at least 3 aligned scores, got shape {self.scores.shape}")
+            raise InputError(f"need at least 3 aligned scores, got shape {self.scores.shape}")
         self.config = config
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(config.seed)

@@ -43,7 +43,7 @@ class SynthConfig:
     seed: int = 0
     view_range: tuple[int, int] = (100, 100_000)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.d_in < 2:
@@ -74,7 +74,6 @@ def mixing_matrix(config: SynthConfig) -> np.ndarray:
     fresh generator before any record draws, so this replays exactly what
     ``generate`` uses internally.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     return _draw_mixing_matrix(rng, config.d_in)
 
@@ -93,11 +92,7 @@ def generate(config: SynthConfig) -> Dataset:
         to the range
       * faves F = max(1, round(V**s))
       * features = M @ basis(s) + Gaussian noise with std ``noise_sigma``
-
-    Raises:
-        ConfigError: Invalid configuration.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     mix = _draw_mixing_matrix(rng, config.d_in)
     lo, hi = config.view_range

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import encoder
 from .data_model import Dataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InputError
 from .loss import LossConfig, batch_loss
 from .sampler import SamplerConfig, TripletSampler
 
@@ -51,7 +51,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if not (math.isfinite(self.lr_init) and self.lr_init >= 0):
@@ -60,8 +60,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(h < 1 for h in self.hidden_dims) or self.embed_dim < 1:
             raise ConfigError("hidden_dims and embed_dim must be positive")
-        self.loss.validate()
-        self.sampler.validate()
 
 
 @dataclass(frozen=True)
@@ -89,13 +87,12 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     """Fit the encoder to a dataset's triplet stream.
 
     Raises:
-        ConfigError: Invalid config or dataset smaller than 3 records.
+        InputError: The dataset holds fewer than 3 records (a config is valid once built).
         SamplerStarvationError: The triplet window admits no triplets.
         DivergenceError: A non-finite loss or gradient appeared.
     """
-    config.validate()
     if len(dataset) < 3:
-        raise ConfigError(f"training needs at least 3 records, got {len(dataset)}")
+        raise InputError(f"training needs at least 3 records, got {len(dataset)}")
 
     init_seed, sampler_seed = derive_seeds(config.seed)
     layer_dims = [dataset.d_in, *config.hidden_dims, config.embed_dim]

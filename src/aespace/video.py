@@ -37,7 +37,7 @@ class KalmanConfig:
     p0: float = 1.0
     x0: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 <= self.q < np.inf:
             raise ConfigError(f"process noise q must be finite and >= 0, got {self.q}")
         if not 0 < self.r < np.inf:
@@ -51,7 +51,7 @@ class PeakConfig:
     min_separation: int = 1
     min_prominence: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.min_separation < 1:
             raise ConfigError(f"min_separation must be >= 1, got {self.min_separation}")
         if not self.min_prominence >= 0:
@@ -92,7 +92,6 @@ def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:
     series = [float(z) for z in series]
     if not series:
         raise EmptyInputError("kalman_smooth needs a non-empty series")
-    config.validate()
     q, r = config.q, config.r
     x = series[0] if config.x0 is None else config.x0
     p = config.p0
@@ -146,7 +145,6 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
         EmptyInputError: The series is empty.
         NonFiniteError: The series holds a NaN or infinite value.
     """
-    config.validate()
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
         raise EmptyInputError("detect_peaks needs a non-empty series")

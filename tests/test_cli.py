@@ -103,6 +103,42 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("train", "--hidden", "8,x"), "expected comma-separated integers, got '8,x'"),
+        (("eval", "--thresholds", "0.1,abc"), "expected comma-separated numbers, got '0.1,abc'"),
+        (("eval", "--thresholds", "0.5,1.5"), "thresholds must lie strictly in (0, 1), got 1.5"),
+        (("sample", "--count", "-1"), "--count must be >= 0, got -1"),
+    ], ids=["hidden_text", "thresholds_text", "thresholds_range", "negative_count"])
+    def test_bad_flag_value_is_usage_error(self, workspace, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        argv += {
+            "train": ("--input", workspace["dataset"], "--steps", "1", "--model-out", out,
+                      "--log-out", tmp_path / "log.csv"),
+            "eval": ("--model", workspace["model"], "--input", workspace["dataset"], "--out", out),
+            "sample": ("--input", workspace["dataset"], "--out", out),
+        }[argv[0]]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("log_out", ["same", "absolute", "symlink"])
+    def test_log_over_model_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys,
+                                          log_out):
+        monkeypatch.chdir(tmp_path)
+        if log_out == "symlink":
+            (tmp_path / "link.json").symlink_to("m.json")
+        log = {"same": "m.json", "absolute": tmp_path / "m.json", "symlink": "link.json"}[log_out]
+        code = run("train", "--input", workspace["dataset"], "--steps", "1",
+                   "--model-out", "m.json", "--log-out", log)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--model-out and --log-out name the same file: m.json" in err
+        left = ["link.json"] if log_out == "symlink" else []
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run("score", "--input", tmp_path / "absent.jsonl", "--out", tmp_path / "s.csv")
         assert code == 1

@@ -210,6 +210,20 @@ class TestLoadSave:
             load_dataset(path)
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize("line, message", [
+        ('[1, 2]', "record is not a JSON object"),
+        ('{"id": 7, "views": 100, "faves": 5, "features": [0.0]}', "missing or non-string 'id'"),
+        ('{"id": "x", "views": 100, "faves": 5, "features": [0.0, "1"]}',
+         "'features' entries must be numbers"),
+        ('{"id": "x", "views": 100, "faves": 5, "features": [0.0], "latent_score": "0.5"}',
+         "'latent_score' must be a number"),
+    ], ids=["not_object", "id", "feature", "latent_score"])
+    def test_bad_structure_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "views": 100, "faves": 5, "features": [0.0]}\n' + line + "\n")
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            load_dataset(path)
+
     def test_non_integer_views_is_fatal(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "x", "views": 100.5, "faves": 5, "features": [0.0]}\n')

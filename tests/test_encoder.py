@@ -110,6 +110,13 @@ class TestBackward:
             np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_array_equal(grad_x, np.zeros(3))
 
+    def test_grad_phi_shape_mismatch(self):
+        params = encoder.init([3, 5, 2], seed=2)
+        with pytest.raises(ShapeError, match="grad_phi shape"):
+            encoder.backward(params, np.ones(3), np.zeros(3))
+        with pytest.raises(ShapeError, match="grad_phi shape"):
+            encoder.backward(params, np.ones((4, 3)), np.zeros((3, 2)))
+
     def test_single_affine_layer_hand_gradient(self):
         params = encoder.init([3, 3], seed=0)
         params.weights[0] = np.eye(3)
@@ -294,6 +301,17 @@ class TestSaveLoad:
         encoder.save(params, path)
         payload = json.loads(path.read_text())
         payload["version"] = 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelVersionError):
+            encoder.load(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_version_must_be_the_integer_one(self, tmp_path, version):
+        # true == 1 and 1.0 == 1 in Python, so an equality check alone loads them
+        path = tmp_path / "m.json"
+        encoder.save(encoder.init([2, 2], seed=0), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelVersionError):
             encoder.load(path)

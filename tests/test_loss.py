@@ -315,6 +315,11 @@ class TestBatchedLoss:
             for got, want in zip((g_a[i], g_p[i], g_n[i]), ref[2:]):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(7, 4), (6,)])
+    def test_rows_must_be_three_per_score(self, shape):
+        with pytest.raises(ShapeError, match="do not hold 3 x 2 rows"):
+            batch_loss(np.zeros(shape), np.zeros(2), np.ones(2), LossConfig())
+
     def test_directional_disabled_zeroes_ld(self):
         rng = np.random.default_rng(31)
         cfg = LossConfig(directional_enabled=False)

@@ -11,7 +11,7 @@ from scipy.stats import kendalltau, ortho_group
 
 from aespace import cli, encoder
 from aespace.data_model import Dataset, save_dataset
-from aespace.errors import ConfigError, InputError, NonFiniteError
+from aespace.errors import InputError, NonFiniteError
 from aespace.ranker import (
     embed,
     kendall_tau,
@@ -143,7 +143,7 @@ class TestRankCollection:
 
     def test_dimension_mismatch(self):
         ds = make_dataset([[1.0, 2.0, 3.0]])
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             rank_collection(identity_params(2), ds)
 
     def test_orthogonal_transform_preserves_order(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from aespace import cli, sampler
 from aespace.data_model import load_dataset, save_dataset
-from aespace.errors import ConfigError, EmptyInputError, SamplerStarvationError
+from aespace.errors import ConfigError, EmptyInputError, InputError, SamplerStarvationError
 from aespace.sampler import (
     PAIR_REFS,
     SamplerConfig,
@@ -226,7 +226,6 @@ class TestConfig:
         assert cfg.alpha == 0.25
         assert cfg.beta == 0.75
         assert cfg.pair_ref == "mean"
-        cfg.validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -240,10 +239,10 @@ class TestConfig:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
-            SamplerConfig(**kwargs).validate()
+            SamplerConfig(**kwargs)
 
     def test_needs_three_scores(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             TripletSampler([0.1, 0.9], SamplerConfig())
 
 

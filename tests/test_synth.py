@@ -19,7 +19,7 @@ from aespace.synth import (
 
 class TestConfig:
     def test_valid(self):
-        SynthConfig(n=1, d_in=2).validate()
+        SynthConfig(n=1, d_in=2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -37,7 +37,7 @@ class TestConfig:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
-            SynthConfig(**kwargs).validate()
+            SynthConfig(**kwargs)
 
 
 class TestBasis:

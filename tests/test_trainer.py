@@ -5,7 +5,7 @@ import pytest
 
 from aespace import cli, encoder, trainer
 from aespace.data_model import Dataset, save_dataset
-from aespace.errors import ConfigError, DivergenceError
+from aespace.errors import ConfigError, DivergenceError, InputError
 from aespace.loss import LossConfig
 from aespace.sampler import SamplerConfig, TripletSampler
 from aespace.synth import SynthConfig, generate
@@ -36,26 +36,28 @@ class TestConfig:
             dict(max_steps=10, lr_init=-1e-3),
             dict(max_steps=10, lr_init=float("nan")),
             dict(max_steps=10, lr_init=float("inf")),
-            dict(max_steps=10, loss=LossConfig(margin_m=float("nan"))),
-            dict(max_steps=10, loss=LossConfig(margin_m=float("inf"))),
-            dict(max_steps=10, loss=LossConfig(margin_md=float("nan"))),
-            dict(max_steps=10, loss=LossConfig(margin_md=float("-inf"))),
+            dict(max_steps=10, loss=dict(margin_m=float("nan"))),
+            dict(max_steps=10, loss=dict(margin_m=float("inf"))),
+            dict(max_steps=10, loss=dict(margin_md=float("nan"))),
+            dict(max_steps=10, loss=dict(margin_md=float("-inf"))),
             dict(max_steps=10, lr_init=float("-inf")),
             dict(max_steps=10, hidden_dims=(0,)),
             dict(max_steps=10, batch_size=0),
-            dict(max_steps=10, sampler=SamplerConfig(alpha=0.5, beta=0.5)),
-            dict(max_steps=10, sampler=SamplerConfig(max_proposals=0)),
+            dict(max_steps=10, sampler=dict(alpha=0.5, beta=0.5)),
+            dict(max_steps=10, sampler=dict(max_proposals=0)),
             dict(max_steps=10, embed_dim=0),
             dict(max_steps=10, hidden_dims=(8, 0)),
         ],
     )
     def test_invalid(self, kwargs):
+        # a nested config given as a dict is built here, where its own check raises
+        nested = {"loss": LossConfig, "sampler": SamplerConfig}
         with pytest.raises(ConfigError):
-            TrainConfig(**kwargs).validate()
+            TrainConfig(**{k: nested[k](**v) if k in nested else v for k, v in kwargs.items()})
 
     def test_needs_three_records(self):
         ds = Dataset(["a"], [100], [5], np.zeros((1, 2)), np.full(1, np.nan))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             train(ds, TrainConfig(max_steps=1))
 
 

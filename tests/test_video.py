@@ -88,7 +88,7 @@ class TestConfigs:
     )
     def test_invalid_kalman(self, kwargs):
         with pytest.raises(ConfigError):
-            KalmanConfig(**kwargs).validate()
+            KalmanConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -96,7 +96,7 @@ class TestConfigs:
     )
     def test_invalid_peaks(self, kwargs):
         with pytest.raises(ConfigError):
-            PeakConfig(**kwargs).validate()
+            PeakConfig(**kwargs)
 
 
 class TestScoreSequence:
@@ -117,6 +117,10 @@ class TestScoreSequence:
     def test_bad_shape(self):
         with pytest.raises(ShapeError):
             score_sequence(identity_params(3), np.zeros((4, 2)))
+
+    def test_ragged_frames(self):
+        with pytest.raises(ShapeError, match="not a uniform stack"):
+            score_sequence(identity_params(2), [[1.0, 2.0], [1.0]])
 
 
 class TestKalman:
@@ -249,6 +253,10 @@ class TestDetectPeaks:
                     and (series[k] > series[c] or (series[k] == series[c] and k < c))
                 ]
                 assert blockers, f"candidate {c} dropped without cause"
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptyInputError):
+            detect_peaks([])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_series_raises(self, bad):
