@@ -248,8 +248,11 @@ def _cmd_train(args):
         sampler=SamplerConfig(alpha=args.alpha, beta=args.beta, pair_ref=args.pair_ref,
                               seed=trainer.derive_seeds(seed)[1]),
     )
-    if os.path.realpath(args.model_out) == os.path.realpath(args.log_out):
+    log_out = os.path.realpath(args.log_out)
+    if log_out == os.path.realpath(args.model_out):
         raise _UsageError(f"--model-out and --log-out name the same file: {args.model_out}")
+    if log_out == os.path.realpath(f"{args.model_out}.meta.json"):
+        raise _UsageError(f"--log-out names the model's sidecar: {args.model_out}.meta.json")
     dataset = data_model.load_dataset(args.input)
     params, log = trainer.train(dataset, config)
     encoder.save(params, args.model_out)
@@ -260,18 +263,12 @@ def _cmd_train(args):
 
 
 def _load_model_and_dataset(args):
-    params = encoder.load(args.model)
-    dataset = data_model.load_dataset(args.input)
-    if dataset.d_in is not None and dataset.d_in != params.d_in:
-        raise InputError(
-            f"model expects {params.d_in} features, dataset has {dataset.d_in}"
-        )
-    return params, dataset
+    return encoder.load(args.model), data_model.load_dataset(args.input)
 
 
 def _cmd_embed(args):
     params, dataset = _load_model_and_dataset(args)
-    embeddings = ranker.embed(params, dataset.features).tolist() if len(dataset) else []
+    embeddings = ranker.embed(params, dataset.features).tolist()
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
     rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids, embeddings))
     data_model.write_csv(args.out, header, rows)
@@ -288,11 +285,10 @@ def _cmd_rank(args):
 
 
 def _cmd_eval(args):
-    for t in args.thresholds:
-        if not 0.0 < t < 1.0:
-            raise _UsageError(f"thresholds must lie strictly in (0, 1), got {t}")
-    if list(args.thresholds) != sorted(set(args.thresholds)):
-        raise _UsageError("thresholds must be strictly increasing")
+    try:
+        ranker.check_thresholds(args.thresholds)
+    except InputError as exc:
+        raise _UsageError(str(exc)) from exc
     params, dataset = _load_model_and_dataset(args)
     if len(dataset) < 2:
         raise InputError(f"need at least 2 records to evaluate, {args.input} has {len(dataset)}")

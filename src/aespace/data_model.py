@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, FormatError, ParseError, RecordError
+from .errors import InputError, ParseError, RecordError
 
 logger = logging.getLogger(__name__)
 
@@ -135,8 +135,8 @@ def _read_columns(path: str | Path, *, require_counts: bool = True):
         A latent score is None where the record has none.
 
     Raises:
-        ParseError: A line is not a valid record object (with its number).
-        FormatError: A line's feature length disagrees with the first one's.
+        ParseError: A line is not a valid record object, or its feature
+            length disagrees with the first one's (with its number).
     """
     line_numbers, ids, views, faves, latents = [], [], [], [], []
     blocks, rows, width = [], [], None
@@ -173,10 +173,8 @@ def _read_columns(path: str | Path, *, require_counts: bool = True):
             if width is None:
                 width = len(features)
             elif len(features) != width:
-                raise FormatError(
-                    f"line {line_number}: feature length {len(features)} "
-                    f"!= {width} established earlier"
-                )
+                raise ParseError(
+                    line_number, f"feature length {len(features)} != {width} established earlier")
             line_numbers.append(line_number)
             ids.append(rec_id)
             latents.append(None if latent is None else _to_float(latent))
@@ -201,8 +199,8 @@ def load_dataset(path: str | Path) -> Dataset:
     problems abort the load instead:
 
     Raises:
-        ParseError: A line is not a valid record object (with its number).
-        FormatError: A line's feature length disagrees with the first one's.
+        ParseError: A line is not a valid record object, or its feature
+            length disagrees with the first one's (with its number).
     """
     line_numbers, ids, views, faves, features, latents = _read_columns(path)
     finite = np.isfinite(features).all(axis=1).tolist()
@@ -290,12 +288,12 @@ def score_histogram(dataset: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray
         to the dataset size.
 
     Raises:
-        EmptyInputError: The dataset has no records.
+        InputError: The dataset has no records, or ``bins`` is below 1.
     """
     if len(dataset) == 0:
-        raise EmptyInputError("cannot histogram an empty dataset")
+        raise InputError("cannot histogram an empty dataset")
     if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+        raise InputError(f"bins must be >= 1, got {bins}")
     counts, edges = np.histogram(dataset.scores(), bins=bins, range=(0.0, 1.0))
     return edges, counts
 

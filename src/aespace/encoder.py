@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import open_atomic
-from .errors import ConfigError, ModelFormatError, ModelVersionError, ShapeError
+from .errors import ConfigError, InputError, ModelFormatError, ModelVersionError
 
 MODEL_FILE_VERSION = 1
 
@@ -73,12 +73,22 @@ def init(layer_dims: list[int], seed: int) -> EncoderParams:
 
 
 def _as_batch(x, d_in):
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as an (n, d_in) float64 batch (no rows: (0, d_in)), and whether it was one vector.
+
+    The one check that features fit the model: InputError if ragged or not d_in wide.
+    """
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except ValueError as exc:
+        raise InputError(f"input is not a uniform stack of vectors: {exc}") from exc
+    if x.shape[:1] == (0,):
+        return np.empty((0, d_in)), False
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != d_in:
-        raise ShapeError(f"input shape {x.shape} incompatible with d_in={d_in}")
+        width = x.shape[1] if x.ndim == 2 else f"shape {x.shape}"
+        raise InputError(f"model expects {d_in} features, input has {width}")
     return x, single
 
 
@@ -132,7 +142,7 @@ def backward(params: EncoderParams, x, grad_phi) -> tuple[EncoderParams, np.ndar
     if single:
         gb = gb[None, :]
     if gb.shape != (xb.shape[0], params.d_out):
-        raise ShapeError(f"grad_phi shape {np.asarray(grad_phi).shape} incompatible with output dim {params.d_out}")
+        raise InputError(f"grad_phi shape {np.asarray(grad_phi).shape} incompatible with output dim {params.d_out}")
 
     grads = EncoderParams(params.layer_dims, np.empty_like(params.flat))
     delta = _backward_pass(params, _forward_pass(params, xb), gb, grads)

@@ -14,35 +14,23 @@ class RecordError(AespaceError):
 
 
 class ParseError(AespaceError):
-    """A metadata line is not structurally valid; carries the line number."""
+    """A line of an input file is bad (JSON, fields, width, a non-finite frame); carries its number."""
 
     def __init__(self, line_number, message):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 
-class FormatError(AespaceError):
-    """A file violates its declared format (e.g. inconsistent feature length)."""
-
-
 class ConfigError(AespaceError):
     """A config value is out of bounds: raised while a config or encoder is built."""
 
 
-class ShapeError(AespaceError):
-    """Array dimensions do not match the operation's contract."""
-
-
-class EmptyInputError(AespaceError):
-    """An operation requiring non-empty input received an empty one."""
-
-
 class InputError(AespaceError):
-    """The data does not fit: mismatched lengths, ids or widths, or too few records."""
+    """The data does not fit: a wrong shape or width, too few items, or a non-finite value."""
 
 
 class NonFiniteError(AespaceError):
-    """A computation produced a NaN or infinite value."""
+    """Model output overflowed to a NaN or infinite value."""
 
 
 class SamplerStarvationError(AespaceError):

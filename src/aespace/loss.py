@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InputError
 
 
 _TRIPLET_GRAD_SCALE = np.array([2.0, -2.0, 2.0])[:, None, None]
@@ -75,11 +75,11 @@ def batch_loss(emb, s_a, s_n, config: LossConfig):
         gradient wrt ``emb`` in the same stacked layout.
 
     Raises:
-        ShapeError: ``emb`` is not 2-D with three rows per score.
+        InputError: ``emb`` is not 2-D with three rows per score.
     """
     b = len(s_a)
     if emb.ndim != 2 or emb.shape[0] != 3 * b:
-        raise ShapeError(f"stacked embeddings {emb.shape} do not hold 3 x {b} rows")
+        raise InputError(f"stacked embeddings {emb.shape} do not hold 3 x {b} rows")
     emb3 = emb.reshape(3, b, emb.shape[1])
     ea, ep, en = emb3
     grad = np.empty_like(emb)
@@ -122,7 +122,7 @@ def directional_triplet_loss(
     """Combined loss of one triplet and its exact gradients wrt each embedding."""
     dims = {np.asarray(v).shape for v in (phi_a, phi_p, phi_n)}
     if len(dims) != 1:
-        raise ShapeError(f"embedding shapes differ: {sorted(dims)}")
+        raise InputError(f"embedding shapes differ: {sorted(dims)}")
     emb = np.array([phi_a, phi_p, phi_n], dtype=np.float64).reshape(3, -1)
     l_e, l_d, grad = batch_loss(emb, np.array([score_a]), np.array([score_n]), config)
     return TripletLossResult(

@@ -46,6 +46,7 @@ def embed(params: encoder.EncoderParams, features) -> np.ndarray:
     its output would rank and score as NaN or infinity.
 
     Raises:
+        InputError: The features are ragged or not the model's width.
         NonFiniteError: An embedding, or its projection score, is NaN or
             infinite.
     """
@@ -69,13 +70,9 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
         (id, projection score) pairs, best first.
 
     Raises:
-        InputError: Dataset feature length does not match the encoder input.
+        InputError: The dataset's feature width is not the model's.
         NonFiniteError: The model output is NaN or infinite for some record.
     """
-    if len(dataset) == 0:
-        return []
-    if dataset.d_in != params.d_in:
-        raise InputError(f"dataset d_in={dataset.d_in} but encoder expects {params.d_in}")
     norms = projection_score(embed(params, dataset.features)).tolist()
     order = sorted(range(len(norms)), key=lambda i: (-norms[i], dataset.ids[i]))
     return [(dataset.ids[i], norms[i]) for i in order]
@@ -126,6 +123,22 @@ def _count_lower_before(ranks: list[int], lo) -> int:
     return total
 
 
+def check_thresholds(thresholds) -> list[float]:
+    """The score-gap thresholds as floats, once each lies in (0, 1) and they increase.
+
+    Raises:
+        InputError: A threshold is not strictly inside (0, 1), or the
+            thresholds are not strictly increasing.
+    """
+    thresholds = [float(t) for t in thresholds]
+    for t in thresholds:
+        if not 0.0 < t < 1.0:
+            raise InputError(f"thresholds must lie strictly in (0, 1), got {t}")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise InputError(f"thresholds must be strictly increasing, got {thresholds}")
+    return thresholds
+
+
 def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[AgreementRow]:
     """Fraction of well-separated pairs ordered the same way by both scores.
 
@@ -140,7 +153,8 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
 
     Raises:
         InputError: Score lists are not aligned, have fewer than 2 items or
-            hold a NaN or infinite value.
+            hold a NaN or infinite value, or ``check_thresholds`` rejects
+            the thresholds.
     """
     proj = np.asarray(projection_scores, dtype=np.float64)
     true = np.asarray(true_scores, dtype=np.float64)
@@ -150,11 +164,7 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
         raise InputError("need at least 2 items for pairwise agreement")
     if not (np.all(np.isfinite(proj)) and np.all(np.isfinite(true))):
         raise InputError("projection and true scores must be finite")
-    thresholds = [float(t) for t in thresholds]
-    if any(not 0.0 < t < 1.0 for t in thresholds):
-        raise InputError(f"thresholds must lie in (0, 1), got {thresholds}")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise InputError(f"thresholds must be strictly increasing, got {thresholds}")
+    thresholds = check_thresholds(thresholds)
 
     order = np.argsort(true, kind="stable")
     s = true[order]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, InputError, SamplerStarvationError
+from .errors import ConfigError, InputError, SamplerStarvationError
 
 PAIR_REFS = ("mean", "anchor")
 
@@ -157,5 +157,5 @@ def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:
     triples of an n-image collection.
     """
     if stats.proposed <= 0:
-        raise EmptyInputError("estimate_cardinality needs at least one proposal")
+        raise InputError("estimate_cardinality needs at least one proposal")
     return stats.acceptance_rate * n_images * (n_images - 1) * (n_images - 2)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import encoder, ranker
 from .data_model import _read_columns
-from .errors import ConfigError, EmptyInputError, FormatError, NonFiniteError, ShapeError
+from .errors import ConfigError, InputError, ParseError
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,9 @@ def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
         frames: Sequence of feature vectors (or an (n, d_in) array).
 
     Raises:
-        ShapeError: A frame's length does not match the encoder input.
+        InputError: The frames are ragged or not the model's width.
         NonFiniteError: The model output is NaN or infinite for some frame.
     """
-    try:
-        frames = np.asarray(frames, dtype=np.float64)
-    except ValueError as exc:
-        raise ShapeError(f"frames are not a uniform stack of vectors: {exc}") from exc
-    if frames.size == 0:
-        return []
-    if frames.ndim != 2 or frames.shape[1] != params.d_in:
-        raise ShapeError(f"frame array shape {frames.shape} incompatible with d_in={params.d_in}")
     return ranker.projection_score(ranker.embed(params, frames)).tolist()
 
 
@@ -87,11 +79,11 @@ def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:
     step (gain k = p / (p + r), estimate x += k * (z - x), p *= 1 - k).
 
     Raises:
-        EmptyInputError: The series is empty.
+        InputError: The series is empty.
     """
     series = [float(z) for z in series]
     if not series:
-        raise EmptyInputError("kalman_smooth needs a non-empty series")
+        raise InputError("kalman_smooth needs a non-empty series")
     q, r = config.q, config.r
     x = series[0] if config.x0 is None else config.x0
     p = config.p0
@@ -142,14 +134,13 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
     The surviving indices are returned ascending.
 
     Raises:
-        EmptyInputError: The series is empty.
-        NonFiniteError: The series holds a NaN or infinite value.
+        InputError: The series is empty or holds a NaN or infinite value.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.size == 0:
-        raise EmptyInputError("detect_peaks needs a non-empty series")
+        raise InputError("detect_peaks needs a non-empty series")
     if not np.isfinite(series).all():
-        raise NonFiniteError("detect_peaks needs a finite series")
+        raise InputError("detect_peaks needs a finite series")
 
     # runs of equal values; an interior run above both neighbours is a peak
     starts = np.flatnonzero(np.r_[True, series[1:] != series[:-1]])
@@ -177,16 +168,15 @@ def load_frames(path: str | Path) -> tuple[list[str], np.ndarray]:
         (ids, features) with features shaped (n_frames, d_in).
 
     Raises:
-        ParseError: A line is structurally invalid.
-        FormatError: Feature lengths are inconsistent, or a frame has a
-            non-finite feature; a frame cannot be dropped without shifting
-            the timeline.
-        EmptyInputError: The file holds no frames.
+        ParseError: A line is structurally invalid, its feature length
+            disagrees with the first line's, or it has a non-finite feature;
+            a frame cannot be dropped without shifting the timeline.
+        InputError: The file holds no frames.
     """
     line_numbers, ids, _, _, features, _ = _read_columns(path, require_counts=False)
     if not ids:
-        raise EmptyInputError(f"no frames in {path}")
+        raise InputError(f"no frames in {path}")
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
-        raise FormatError(f"line {line_numbers[int(np.argmax(bad))]}: non-finite feature entry")
+        raise ParseError(line_numbers[int(np.argmax(bad))], "non-finite feature entry")
     return ids, features

@@ -123,19 +123,23 @@ class TestExitCodes:
         assert message in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("log_out", ["same", "absolute", "symlink"])
+    @pytest.mark.parametrize("log_out", ["same", "absolute", "symlink", "sidecar"])
     def test_log_over_model_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys,
                                           log_out):
         monkeypatch.chdir(tmp_path)
         if log_out == "symlink":
             (tmp_path / "link.json").symlink_to("m.json")
-        log = {"same": "m.json", "absolute": tmp_path / "m.json", "symlink": "link.json"}[log_out]
+        log = {"same": "m.json", "absolute": tmp_path / "m.json", "symlink": "link.json",
+               "sidecar": "m.json.meta.json"}[log_out]
         code = run("train", "--input", workspace["dataset"], "--steps", "1",
                    "--model-out", "m.json", "--log-out", log)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
-        assert "--model-out and --log-out name the same file: m.json" in err
+        if log_out == "sidecar":
+            assert "--log-out names the model's sidecar: m.json.meta.json" in err
+        else:
+            assert "--model-out and --log-out name the same file: m.json" in err
         left = ["link.json"] if log_out == "symlink" else []
         assert sorted(p.name for p in tmp_path.iterdir()) == left
 
@@ -157,15 +161,29 @@ class TestExitCodes:
         assert code == 1
         assert "no acceptable triplet" in capsys.readouterr().err
 
-    def test_dimension_mismatch(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])
+    def test_dimension_mismatch(self, workspace, tmp_path, capsys, command):
         other = tmp_path / "wide.jsonl"
         assert run("synth", "--n", "10", "--din", "6", "--out", other) == 0
-        code = run(
-            "embed", "--model", workspace["model"], "--input", other,
-            "--out", tmp_path / "e.csv",
-        )
+        out = tmp_path / "out.csv"
+        data_flag = "--frames" if command == "video" else "--input"
+        code = run(command, "--model", workspace["model"], data_flag, other, "--out", out)
         assert code == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert f"aespace {command}: error: model expects 4 features, input has 6" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, header", [
+        ("embed", "id,phi0,phi1,phi2,phi3"), ("rank", "rank,id,score"),
+    ])
+    def test_empty_dataset_writes_header_only(self, workspace, tmp_path, capsys, command,
+                                              header):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        out = tmp_path / "out.csv"
+        assert run(command, "--model", workspace["model"], "--input", data, "--out", out) == 0
+        assert out.read_text() == header + "\n"
+        assert capsys.readouterr().err == ""
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

@@ -17,7 +17,7 @@ from aespace.data_model import (
     score_histogram,
     write_csv,
 )
-from aespace.errors import EmptyInputError, FormatError, ParseError, RecordError
+from aespace.errors import InputError, ParseError, RecordError
 
 
 def make_dataset(counts):
@@ -248,7 +248,7 @@ class TestLoadSave:
             '{"id": "a", "views": 100, "faves": 5, "features": [0.0, 1.0]}\n'
             '{"id": "b", "views": 100, "faves": 5, "features": [0.0]}\n'
         )
-        with pytest.raises(FormatError):
+        with pytest.raises(ParseError):
             load_dataset(path)
 
     def test_latent_score_out_of_range_soft_rejected(self, tmp_path):
@@ -280,7 +280,7 @@ class TestLoadSave:
         assert ds.features.tolist() == [[0.0, 0.5], [1.0, 0.5], [3.0, 0.5], [4.0, 0.5]]
         rows[3]["features"] = [3.0]
         write_lines(path, rows)
-        with pytest.raises(FormatError, match="line 4: feature length 1 != 2"):
+        with pytest.raises(ParseError, match="line 4: feature length 1 != 2"):
             load_dataset(path)
 
     def test_mixed_latent_scores_round_trip_byte_identical(self, tmp_path):
@@ -339,12 +339,12 @@ class TestScoreHistogram:
         np.testing.assert_allclose(np.diff(edges), 1.0 / 7.0)
 
     def test_empty_dataset_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError):
             score_histogram(make_dataset([]), 4)
 
     def test_bad_bin_count_raises(self):
         ds = make_dataset([("a", 10, 2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             score_histogram(ds, 0)
 
     def test_csv_output(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aespace import encoder
-from aespace.errors import ConfigError, ModelFormatError, ModelVersionError, ShapeError
+from aespace.errors import ConfigError, InputError, ModelFormatError, ModelVersionError
 from aespace.loss import LossConfig, directional_triplet_loss
 
 
@@ -96,7 +96,7 @@ class TestForward:
 
     def test_shape_error(self):
         params = encoder.init([4, 2], seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             encoder.forward(params, np.zeros(5))
 
 
@@ -112,9 +112,9 @@ class TestBackward:
 
     def test_grad_phi_shape_mismatch(self):
         params = encoder.init([3, 5, 2], seed=2)
-        with pytest.raises(ShapeError, match="grad_phi shape"):
+        with pytest.raises(InputError, match="grad_phi shape"):
             encoder.backward(params, np.ones(3), np.zeros(3))
-        with pytest.raises(ShapeError, match="grad_phi shape"):
+        with pytest.raises(InputError, match="grad_phi shape"):
             encoder.backward(params, np.ones((4, 3)), np.zeros((3, 2)))
 
     def test_single_affine_layer_hand_gradient(self):

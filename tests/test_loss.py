@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import ortho_group
 
-from aespace.errors import ShapeError
+from aespace.errors import InputError
 from aespace.loss import LossConfig, batch_loss, directional_triplet_loss
 
 
@@ -83,7 +83,7 @@ class TestDistance:
         assert squared_distance(a, b) == squared_distance(b, a)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             squared_distance(np.zeros(2), np.zeros(3))
 
 
@@ -200,7 +200,7 @@ class TestCombined:
         assert np.all(np.isfinite(res.grad_n))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             directional_triplet_loss(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, LossConfig())
 
 
@@ -317,7 +317,7 @@ class TestBatchedLoss:
 
     @pytest.mark.parametrize("shape", [(7, 4), (6,)])
     def test_rows_must_be_three_per_score(self, shape):
-        with pytest.raises(ShapeError, match="do not hold 3 x 2 rows"):
+        with pytest.raises(InputError, match="do not hold 3 x 2 rows"):
             batch_loss(np.zeros(shape), np.zeros(2), np.ones(2), LossConfig())
 
     def test_directional_disabled_zeroes_ld(self):

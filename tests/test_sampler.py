@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from aespace import cli, sampler
 from aespace.data_model import load_dataset, save_dataset
-from aespace.errors import ConfigError, EmptyInputError, InputError, SamplerStarvationError
+from aespace.errors import ConfigError, InputError, SamplerStarvationError
 from aespace.sampler import (
     PAIR_REFS,
     SamplerConfig,
@@ -422,7 +422,7 @@ class TestCardinality:
         assert estimate_cardinality(4, stats) == pytest.approx(12)
 
     def test_no_proposals_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError):
             estimate_cardinality(10, SamplerStats())
 
     def test_matches_enumeration_within_fifteen_percent(self):

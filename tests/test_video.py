@@ -5,14 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aespace import cli, encoder
-from aespace.errors import (
-    ConfigError,
-    EmptyInputError,
-    FormatError,
-    NonFiniteError,
-    ParseError,
-    ShapeError,
-)
+from aespace.errors import ConfigError, InputError, ParseError
 from aespace.video import (
     KalmanConfig,
     PeakConfig,
@@ -115,11 +108,11 @@ class TestScoreSequence:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_bad_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             score_sequence(identity_params(3), np.zeros((4, 2)))
 
     def test_ragged_frames(self):
-        with pytest.raises(ShapeError, match="not a uniform stack"):
+        with pytest.raises(InputError, match="not a uniform stack"):
             score_sequence(identity_params(2), [[1.0, 2.0], [1.0]])
 
 
@@ -160,7 +153,7 @@ class TestKalman:
         assert len(out) == 17
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError):
             kalman_smooth([], KalmanConfig())
 
     def test_gain_stays_in_unit_interval(self):
@@ -255,12 +248,12 @@ class TestDetectPeaks:
                 assert blockers, f"candidate {c} dropped without cause"
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError):
             detect_peaks([])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_series_raises(self, bad):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(InputError):
             detect_peaks([0.0, 1.0, bad, 1.0, 0.0])
 
     @settings(derandomize=True, max_examples=500, deadline=None)
@@ -293,7 +286,7 @@ class TestFrameIO:
         path.write_text(
             '{"id": "f0", "features": [1.0, 2.0]}\n{"id": "f1", "features": [1.0]}\n'
         )
-        with pytest.raises(FormatError):
+        with pytest.raises(ParseError):
             load_frames(path)
 
     def test_load_frames_bad_json(self, tmp_path):
