@@ -4,6 +4,8 @@ Hidden layers apply an affine map followed by a rectifier max(0, x); the
 final layer is a plain affine projection. All arithmetic is float64.
 Weights initialize from a zero-mean normal with std sqrt(2 / fan_in),
 biases from zero. The rectifier derivative at exactly 0 is taken as 0.
+A bias gradient is summed over the batch by BLAS, in BLAS's order, so it
+may differ from a plain running sum in the last bits.
 
 ``EncoderParams`` owns one flat buffer holding every weight, then every
 bias; its per-layer arrays are views into it, so one array operation
@@ -93,11 +95,14 @@ def _as_batch(x, d_in):
 
 
 def _forward_pass(params, x):
-    """Post-activations per layer (h[0] = x), each bias add and rectifier in place."""
+    """Post-activations per layer (h[0] = x), each bias add and rectifier in place.
+
+    Each layer multiplies by a contiguous copy of w.T, which BLAS runs faster than the view.
+    """
     h = [x]
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h[-1] @ w.T
+        z = h[-1] @ np.ascontiguousarray(w.T)
         z += b
         if k != last:
             np.maximum(z, 0.0, out=z)
@@ -112,11 +117,13 @@ def _backward_pass(params, h, grad, grads_out: EncoderParams) -> np.ndarray:
     iff its post-activation is positive, which is the same mask as z > 0.
     Returns the gradient wrt the first layer's pre-activation; the input
     gradient, one product with the first weight matrix away, is not formed.
+    Each bias gradient, the batch sum of its delta, is one product with ones.
     """
     delta = grad
+    ones = np.ones(len(grad))
     for k in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, h[k], out=grads_out.weights[k])
-        np.add.reduce(delta, axis=0, out=grads_out.biases[k])
+        np.matmul(ones, delta, out=grads_out.biases[k])
         if k > 0:
             delta = delta @ params.weights[k]
             delta *= h[k] > 0.0

@@ -86,8 +86,10 @@ class TripletSampler:
 
     def __init__(self, scores, config: SamplerConfig = SamplerConfig()):
         self.scores = np.asarray(scores, dtype=np.float64)
-        if self.scores.ndim != 1 or self.scores.size < 3:
-            raise InputError(f"need at least 3 aligned scores, got shape {self.scores.shape}")
+        if self.scores.ndim != 1:
+            raise InputError(f"scores must be one per record, got shape {self.scores.shape}")
+        if self.scores.size < 3:
+            raise InputError(f"need at least 3 records, got {self.scores.size}")
         self.config = config
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(config.seed)

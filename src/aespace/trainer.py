@@ -27,7 +27,7 @@ import numpy as np
 
 from . import encoder
 from .data_model import Dataset
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, batch_loss
 from .sampler import SamplerConfig, TripletSampler
 
@@ -87,24 +87,22 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     """Fit the encoder to a dataset's triplet stream.
 
     Raises:
-        InputError: The dataset holds fewer than 3 records (a config is valid once built).
-        SamplerStarvationError: The triplet window admits no triplets.
+        InputError: The dataset holds fewer than 3 records, which the sampler
+            checks before anything else is built (a config is valid once built).
+        SamplerStarvationError: ``max_proposals`` distinct proposals in a row were rejected.
         DivergenceError: A non-finite loss or gradient appeared.
     """
-    if len(dataset) < 3:
-        raise InputError(f"training needs at least 3 records, got {len(dataset)}")
-
     init_seed, sampler_seed = derive_seeds(config.seed)
+    scores = dataset.scores()
+    features = dataset.features
+    samp = TripletSampler(scores, dataclasses.replace(config.sampler, seed=sampler_seed))
+
     layer_dims = [dataset.d_in, *config.hidden_dims, config.embed_dim]
     params = encoder.init(layer_dims, init_seed)
     grads = encoder.EncoderParams(layer_dims, np.empty_like(params.flat))
     flat, grad_flat = params.flat, grads.flat
     batch_size = config.batch_size
     inv_b = 1.0 / batch_size
-
-    scores = dataset.scores()
-    features = dataset.features
-    samp = TripletSampler(scores, dataclasses.replace(config.sampler, seed=sampler_seed))
 
     log = TrainLog()
     lr = config.lr_init

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -13,6 +14,16 @@ from aespace import cli, data_model, encoder, trainer
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # a numpy before 1.25 reports no build dependencies
+        return ""
+
+
+BLAS = _blas_name()
 
 
 def run(*argv):
@@ -160,6 +171,31 @@ class TestExitCodes:
         )
         assert code == 1
         assert "no acceptable triplet" in capsys.readouterr().err
+
+    def test_train_starvation_is_runtime_error(self, tmp_path, capsys):
+        # equal scores: no triplet is ever accepted, so the default budget runs out in step 1
+        path = tmp_path / "flat.jsonl"
+        with open(path, "w") as fh:
+            for i in range(4):
+                fh.write(json.dumps({"id": f"r{i}", "views": 1000, "faves": 31,
+                                     "features": [0.0, 0.0]}) + "\n")
+        code = run("train", "--input", path, "--steps", "5",
+                   "--model-out", tmp_path / "m.json", "--log-out", tmp_path / "log.csv")
+        assert code == 1
+        assert "no acceptable triplet" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["flat.jsonl"]
+
+    def test_train_needs_three_records(self, tmp_path, capsys):
+        path = tmp_path / "two.jsonl"
+        with open(path, "w") as fh:
+            for i in range(2):
+                fh.write(json.dumps({"id": f"r{i}", "views": 1000, "faves": 10 + i,
+                                     "features": [0.0, 1.0]}) + "\n")
+        code = run("train", "--input", path, "--steps", "5",
+                   "--model-out", tmp_path / "m.json", "--log-out", tmp_path / "log.csv")
+        assert code == 1
+        assert "aespace train: error: need at least 3 records, got 2" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["two.jsonl"]
 
     @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])
     def test_dimension_mismatch(self, workspace, tmp_path, capsys, command):
@@ -312,6 +348,30 @@ class TestDeterminism:
         assert cli.main(argv(b_model, b_log)) == 0
         assert a_model.read_bytes() == b_model.read_bytes()
         assert a_log.read_bytes() == b_log.read_bytes()
+
+    @pytest.mark.skipif("openblas" not in BLAS, reason="OPENBLAS_NUM_THREADS sets no thread count here")
+    def test_blas_threads_do_not_change_outputs(self, tmp_path):
+        # products and bias sums run in BLAS; at 1536 rows OpenBLAS splits most of
+        # them, the bias sums included, over 2 threads, which must not move a bit
+        data = tmp_path / "data.jsonl"
+        assert run("synth", "--n", "500", "--din", "16", "--seed", "3", "--out", data) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        main = "import sys; from aespace.cli import main; sys.exit(main(sys.argv[1:]))"
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / threads
+            out.mkdir()
+            for argv in (
+                ("train", "--input", data, "--steps", "300", "--batch", "512", "--seed", "7",
+                 "--model-out", out / "model.json", "--log-out", out / "log.csv"),
+                ("embed", "--model", out / "model.json", "--input", data, "--out", out / "emb.csv"),
+            ):
+                subprocess.run([sys.executable, "-c", main, *map(str, argv)], env=env, check=True)
+            outputs.append([(out / f).read_bytes() for f in ("model.json", "log.csv", "emb.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestOutputs:

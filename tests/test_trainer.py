@@ -5,7 +5,7 @@ import pytest
 
 from aespace import cli, encoder, trainer
 from aespace.data_model import Dataset, save_dataset
-from aespace.errors import ConfigError, DivergenceError, InputError
+from aespace.errors import ConfigError, DivergenceError, InputError, SamplerStarvationError
 from aespace.loss import LossConfig
 from aespace.sampler import SamplerConfig, TripletSampler
 from aespace.synth import SynthConfig, generate
@@ -306,6 +306,16 @@ class TestWindowEdges:
         with pytest.raises(DivergenceError) as want:
             reference_train(self.DS, config)
         assert (got.value.step, got.value.lr) == (want.value.step, want.value.lr)
+
+    def test_starvation_matches(self, monkeypatch):
+        # a budget of 32 runs out in step 61, after one full window
+        set_schedule(monkeypatch, **SHORT)
+        config = TrainConfig(max_steps=100, seed=1, sampler=SamplerConfig(max_proposals=32))
+        with pytest.raises(SamplerStarvationError) as got:
+            train(self.DS, config)
+        with pytest.raises(SamplerStarvationError) as want:
+            reference_train(self.DS, config)
+        assert str(got.value) == str(want.value)
 
 
 class TestSinglePassStep:
