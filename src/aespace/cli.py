@@ -290,8 +290,6 @@ def _cmd_eval(args):
     except InputError as exc:
         raise _UsageError(str(exc)) from exc
     params, dataset = _load_model_and_dataset(args)
-    if len(dataset) < 2:
-        raise InputError(f"need at least 2 records to evaluate, {args.input} has {len(dataset)}")
     proj = ranker.projection_score(ranker.embed(params, dataset.features))
     rows = ranker.pairwise_agreement(proj, dataset.scores(), args.thresholds)
     data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))

@@ -4,6 +4,9 @@ The embedding space only encodes relative distances; to put items on a 1-D
 scale we take the Euclidean norm of each embedding as its projection score.
 Any common rotation of the space leaves both distances and norms unchanged,
 so orderings survive re-orientation of the embedding axes.
+
+Pairwise agreement and Kendall tau come from one exact sweep,
+``_count_agreeing``, and match their all-pairs definitions bit for bit.
 """
 
 from __future__ import annotations
@@ -78,49 +81,33 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
     return [(dataset.ids[i], norms[i]) for i in order]
 
 
-def _gap_frontier(s: np.ndarray, delta: float) -> np.ndarray:
-    """For ascending ``s``: ``lo[k]`` = #{i : s[k] - s[i] > delta}.
+def _count_agreeing(s, ranks: list[int], delta: float) -> tuple[int, int]:
+    """Pairs ``i < k`` with ``s[k] - s[i] > delta``, and those with ``ranks[i] < ranks[k]``.
 
-    The set is a prefix of ``s``, and it only grows with k. A binary search
-    on ``s - delta`` can miss its end in the last bit, so each end is then
-    moved, a run of equal values at a time, until the float predicate
-    ``s[k] - s[i] > delta`` itself holds before it and fails after it.
-    """
-    n = s.size
-    lo = np.searchsorted(s, s - delta, side="left")
-    while True:
-        before, at = s[np.maximum(lo - 1, 0)], s[np.minimum(lo, n - 1)]
-        down = (lo > 0) & ~((s - before) > delta)
-        up = (lo < n) & ((s - at) > delta)
-        if not (down.any() or up.any()):
-            return lo
-        lo = np.where(down, np.searchsorted(s, before, side="left"), lo)
-        lo = np.where(up, np.searchsorted(s, at, side="right"), lo)
-
-
-def _count_lower_before(ranks: list[int], lo) -> int:
-    """Sum over k of #{i < lo[k] : ranks[i] < ranks[k]}, for non-decreasing lo.
-
-    A Fenwick tree (Fenwick 1994) over the rank values counts the items
-    inserted so far below each rank; item i is inserted once the frontier
-    ``lo`` passes it. O(n log n) time, O(n) memory.
+    One sweep over non-decreasing ``s`` with ``delta >= 0``: for each k, an
+    insertion pointer moves on while the float predicate itself,
+    ``s[k] - s[inserted] > delta``, holds. Float subtraction is monotone, so
+    k's qualifying items are a prefix of those before it that only grows,
+    and the pointer never passes k (``s[k] - s[k] = 0``). A Fenwick tree
+    (Fenwick 1994) over the rank values counts the inserted items below
+    each rank. O(n log n) time, O(n) memory.
     """
     size = len(ranks)
     tree = [0] * (size + 1)
-    total = 0
-    inserted = 0
-    for rank, stop in zip(ranks, lo):
-        while inserted < stop:
+    pairs = agreeing = inserted = 0
+    for top, rank in zip(s, ranks):
+        while top - s[inserted] > delta:
             x = ranks[inserted] + 1
             while x <= size:
                 tree[x] += 1
                 x += x & -x
             inserted += 1
+        pairs += inserted
         x = rank
         while x:
-            total += tree[x]
+            agreeing += tree[x]
             x -= x & -x
-    return total
+    return pairs, agreeing
 
 
 def check_thresholds(thresholds) -> list[float]:
@@ -147,9 +134,9 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
     ordering. A projection-score tie counts as disagreement.
 
     O(n log n) time per threshold and O(n) memory: after one sort by true
-    score, the pairs beyond a threshold are, for each item, a prefix of the
-    items below it, and the agreeing ones are those with a strictly lower
-    projection score.
+    score, one ``_count_agreeing`` sweep per threshold counts, for each
+    item, the items below it by more than the threshold and, of those, the
+    ones with a strictly lower projection score.
 
     Raises:
         InputError: Score lists are not aligned, have fewer than 2 items or
@@ -161,28 +148,26 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
     if proj.shape != true.shape or proj.ndim != 1:
         raise InputError(f"misaligned score lists: {proj.shape} vs {true.shape}")
     if proj.size < 2:
-        raise InputError("need at least 2 items for pairwise agreement")
+        raise InputError(f"need at least 2 records to evaluate, got {proj.size}")
     if not (np.all(np.isfinite(proj)) and np.all(np.isfinite(true))):
         raise InputError("projection and true scores must be finite")
     thresholds = check_thresholds(thresholds)
 
     order = np.argsort(true, kind="stable")
-    s = true[order]
+    s = true[order].tolist()
     ranks = np.unique(proj[order], return_inverse=True)[1].tolist()
     rows = []
     for thr in thresholds:
-        lo = _gap_frontier(s, thr)
-        pairs = int(lo.sum())
-        fraction = _count_lower_before(ranks, lo.tolist()) / pairs if pairs else math.nan
-        rows.append(AgreementRow(delta=thr, pairs=pairs, agreement=fraction))
+        pairs, agreeing = _count_agreeing(s, ranks, thr)
+        rows.append(AgreementRow(delta=thr, pairs=pairs, agreement=agreeing / pairs if pairs else math.nan))
     return rows
 
 
 def kendall_tau(order_a: list[str], order_b: list[str]) -> float:
     """Rank correlation between two orderings of the same id set.
 
-    Computed over all pairs: (concordant - discordant) / C(n, 2), in
-    O(n log n) time and O(n) memory.
+    Computed over all pairs: (concordant - discordant) / C(n, 2), by one
+    zero-gap ``_count_agreeing`` sweep in O(n log n) time and O(n) memory.
 
     Raises:
         InputError: The orderings are not permutations of the same ids.
@@ -196,6 +181,5 @@ def kendall_tau(order_a: list[str], order_b: list[str]) -> float:
         raise InputError("need at least 2 items for kendall_tau")
 
     pos_b = {rec_id: i for i, rec_id in enumerate(order_b)}
-    concordant = _count_lower_before([pos_b[rec_id] for rec_id in order_a], range(n))
-    s = 2 * concordant - n * (n - 1) // 2
-    return s / (n * (n - 1) / 2)
+    pairs, concordant = _count_agreeing(range(n), [pos_b[rec_id] for rec_id in order_a], 0)
+    return (2 * concordant - pairs) / pairs

@@ -567,7 +567,7 @@ class TestBadArtifacts:
         data.write_text("".join(lines))
         out = tmp_path / "agreement.csv"
         assert run("eval", "--model", workspace["model"], "--input", data, "--out", out) == 1
-        assert f"need at least 2 records to evaluate, {data} has {records}" in capsys.readouterr().err
+        assert f"need at least 2 records to evaluate, got {records}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_number_beyond_float_range_rejects_its_record(self, tmp_path, capsys, caplog):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import kendalltau, ortho_group
@@ -69,6 +69,19 @@ def agreement_inputs(draw):
     thresholds = draw(st.lists(
         st.sampled_from(sorted(t for t in candidates if 0.0 < t < 1.0)), min_size=1, unique=True))
     return proj, true, sorted(thresholds)
+
+
+def long_tie_runs_case():
+    """1,500 true scores drawn from TRICKY_SCORES, so each value repeats in a
+    run of about 150, with every exact gap between them and both its float
+    neighbours as thresholds."""
+    n = 1500
+    rng = np.random.default_rng(49)
+    true = rng.choice(TRICKY_SCORES, size=n)
+    proj = np.where(rng.uniform(size=n) < 0.5, rng.integers(0, 3, size=n), rng.normal(size=n))
+    gaps = {abs(a - b) for a in TRICKY_SCORES for b in TRICKY_SCORES}
+    near = {float(t) for g in gaps for t in (g, np.nextafter(g, 0.0), np.nextafter(g, 1.0))}
+    return proj, true, sorted(t for t in near if 0.0 < t < 1.0)
 
 
 def identity_params(dim):
@@ -207,6 +220,8 @@ class TestPairwiseAgreement:
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(agreement_inputs())
+    @example(long_tie_runs_case())
+    @example((np.arange(300.0), np.full(300, 0.3), [0.1, 0.5, 0.9]))
     def test_matches_quadratic_oracle(self, case):
         proj, true, thresholds = case
         rows = pairwise_agreement(proj, true, thresholds)
