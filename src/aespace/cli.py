@@ -219,11 +219,7 @@ def _cmd_sample(args):
             yield from zip(*idx.tolist(), above, ratio.tolist())
 
     data_model.write_csv(args.out, ("a", "p", "n", "pair_above", "ratio"), rows())
-    stats = {
-        "proposed": smp.stats.proposed,
-        "accepted": smp.stats.accepted,
-        "acceptance_rate": smp.stats.acceptance_rate,
-    }
+    stats = {**dataclasses.asdict(smp.stats), "acceptance_rate": smp.stats.acceptance_rate}
     cfg = dataclasses.asdict(config)
     cfg["count"] = args.count
     return {"config": cfg, "seed": seed, "inputs": [args.input], "outputs": [args.out],

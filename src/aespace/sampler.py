@@ -15,9 +15,12 @@ estimated from the acceptance rate.
 
 A sampler owns one RNG stream (numpy PCG64 seeded from its config) and is
 not safe to share across concurrent callers; run one instance per thread
-with distinct seeds instead. Proposals are drawn in buffered blocks, but
-the proposal sequence consumed is a pure function of the seed, independent
-of how many triplets each call requests.
+with distinct seeds instead. Proposals are drawn 2,048 at a time, and a
+call hands out slices of one table per chunk: its acceptances, the running
+count of distinct proposals through each (the tail rejected before the
+chunk carried in), and the first that follows ``max_proposals`` or more
+rejections in a row. The proposal stream is a pure function of the seed,
+independent of how many triplets each call requests.
 """
 
 from __future__ import annotations
@@ -93,28 +96,26 @@ class TripletSampler:
         self.config = config
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(config.seed)
-        self._since_accept = 0
-        self._pos = _CHUNK  # position of the next pending proposal; _CHUNK = none left
+        self._through = np.zeros(1, dtype=np.int64)  # an empty table: the first call draws
+        self._open = self._next = self._run = 0
 
     def _refill(self):
-        """Draws the next chunk of proposals and indexes its acceptances once."""
+        """Draws the next chunk of proposals and tables its acceptances once."""
         idx = self._rng.integers(0, self.scores.size, size=(_CHUNK, 3)).T
         distinct = (idx[0] != idx[1]) & (idx[0] != idx[2]) & (idx[1] != idx[2])
         _, ratio = window(self.scores, idx, self.config.pair_ref)
-        accept = distinct & (ratio > self.config.alpha) & (ratio < self.config.beta)
-        self._hits = hits = np.flatnonzero(accept)
-        # distinct proposals in positions [i, j) number seen[j] - seen[i]
-        self._seen = np.zeros(_CHUNK + 1, dtype=np.int64)
-        np.cumsum(distinct, out=self._seen[1:])
+        hits = np.flatnonzero(distinct & (ratio > self.config.alpha) & (ratio < self.config.beta))
         self._accepted = idx[:, hits]  # accepted proposals in order, (3, m)
-        # gaps: 1 + the distinct rejections before each acceptance, the first
-        # run carrying the last chunk's tail; the first run at or over budget starves
-        at = self._seen[hits]
-        gaps = at - np.concatenate(([-1 - self._since_accept], at[:-1]))
+        # distinct proposals through each acceptance, from 0 at the last one handed out
+        seen = np.cumsum(distinct) + self._run
+        self._through = through = np.concatenate(([0], seen[hits]))
+        gaps = through[1:] - through[:-1]
         over = np.flatnonzero(gaps > self.config.max_proposals)
-        self._starve_at = int(over[0]) if over.size else hits.size
-        self._pos = 0
-        self._next_hit = 0
+        # hand-out stops before the first acceptance over budget, else at the chunk's end;
+        # the run of distinct rejections there starves the sampler or is carried on
+        self._open = int(over[0]) if over.size else hits.size
+        self._run = int(gaps[self._open]) - 1 if over.size else int(seen[-1] - through[-1])
+        self._next = 0
 
     def collect_indices(self, k: int) -> np.ndarray:
         """Accept ``k`` triplets; returns their (3, k) int64 indices, rows a, p, n.
@@ -123,32 +124,23 @@ class TripletSampler:
 
         Raises:
             SamplerStarvationError: ``max_proposals`` consecutive distinct
-                proposals went by without an acceptance, wherever the run falls.
+                proposals went by without an acceptance, wherever the run
+                falls; a sampler that starved raises it again on every later call.
         """
         parts = [np.empty((3, 0), dtype=np.int64)]
         while k > 0:
-            if self._pos >= _CHUNK:
-                self._refill()
-            hits, seen = self._hits, self._seen
-            first = self._next_hit
-            stop = min(first + k, self._starve_at)
-            if stop == first + k:
-                cut = int(hits[stop - 1]) + 1
-            else:  # up to the chunk's end, or to the acceptance out of budget, which stays pending
-                cut = int(hits[stop]) if stop < hits.size else _CHUNK
-            consumed_distinct = int(seen[cut] - seen[self._pos])
-            self.stats.proposed += consumed_distinct
-            self.stats.accepted += stop - first
+            first = self._next
+            stop = min(first + k, self._open)
             if stop > first:
-                # proposals after the stretch's last acceptance stay pending
-                self._since_accept = int(seen[cut] - seen[hits[stop - 1] + 1])
+                self.stats.proposed += int(self._through[stop] - self._through[first])
+                self.stats.accepted += stop - first
                 parts.append(self._accepted[:, first:stop])
-                k -= stop - first
+                self._next, k = stop, k - (stop - first)
+            elif self._run < self.config.max_proposals:  # a tail within budget: draw on
+                self._refill()
             else:
-                self._since_accept += consumed_distinct
-            self._pos, self._next_hit = cut, stop
-            if k > 0 and self._since_accept >= self.config.max_proposals:
-                raise SamplerStarvationError(self._since_accept, self.stats.acceptance_rate)
+                self.stats.proposed += self._run
+                raise SamplerStarvationError(self._run, self.stats.acceptance_rate)
         return np.concatenate(parts, axis=1)
 
 

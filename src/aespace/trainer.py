@@ -29,7 +29,7 @@ from . import encoder
 from .data_model import Dataset
 from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, batch_loss
-from .sampler import SamplerConfig, TripletSampler
+from .sampler import SamplerConfig, SamplerStats, TripletSampler
 
 # the divide-on-plateau schedule, read by ``train`` at call time
 PLATEAU_WINDOW = 500  # steps per logged window
@@ -137,10 +137,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
             win_le += sum_le / batch_size
             win_ld += sum_ld / batch_size
 
-        proposed = samp.stats.proposed - proposed
-        rate = (samp.stats.accepted - accepted) / proposed if proposed else 0.0
+        drawn = SamplerStats(samp.stats.proposed - proposed, samp.stats.accepted - accepted)
         mean_loss = win_total / steps
-        log.windows.append(WindowRecord(last, mean_loss, win_le / steps, win_ld / steps, lr, rate))
+        log.windows.append(WindowRecord(last, mean_loss, win_le / steps, win_ld / steps, lr,
+                                        drawn.acceptance_rate))
         if steps < PLATEAU_WINDOW:
             break  # a partial window is the last one, and never moves the schedule
         if best is None or mean_loss < best * (1.0 - PLATEAU_MIN_REL_IMPROVEMENT):

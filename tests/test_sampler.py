@@ -190,6 +190,19 @@ class TestMatchesOracle:
         assert hits.size > 2 and np.count_nonzero(distinct[hits[-1] + 1 :]) > 0
         assert_same_calls(scores, config, [hits.size - 1, 1, 1, 7])
 
+    # 200 uniform scores and a narrow window: at seed 1 the runs before the first
+    # five acceptances are 927, 3,459, 9,054, 212 and 25,133 rejections, so whole
+    # chunks hold no acceptance, and the fourth acceptance is its chunk's last
+    @pytest.mark.parametrize("max_proposals, ks", [
+        (9054, [1, 1, 5]),  # the run before the third acceptance starves
+        (9055, [1, 1, 5]),  # it does not; the run after the fourth starves in a chunk's tail
+        (9055, [1, 1, 2, 1]),  # a call ends on the fourth, and the next call's tail starves
+    ], ids=["third-starves", "tail-starves", "call-ends-then-tail-starves"])
+    def test_runs_across_chunks(self, max_proposals, ks):
+        scores = np.random.default_rng(5).uniform(size=200)
+        config = SamplerConfig(alpha=0.5, beta=0.5002, seed=1, max_proposals=max_proposals)
+        assert_same_calls(scores, config, ks)
+
 
 class TestWindow:
     @pytest.mark.parametrize("pair_ref", PAIR_REFS)
