@@ -13,9 +13,11 @@ life-spans under exponential count growth stay comparable.
 File format: one record per line, a single JSON object with keys "id"
 (string), "views" (integer), "faves" (integer), "features" (array of
 numbers), and optional "latent_score" (number in [0, 1], synthetic ground
-truth only). UTF-8, LF line endings. Counts of any size load; a number
-beyond float range in "features" or "latent_score" rejects its record, as
-an infinite one does.
+truth only). UTF-8, LF line endings; a line that is not UTF-8, or that nests
+deeper than the JSON decoder can, aborts the load. Counts of any size load;
+a number beyond float range in "features" or "latent_score" rejects its
+record, as an infinite one does. The loader appends every record's features
+to one flat float64 buffer, which becomes the feature matrix without a copy.
 
 Every CSV output of the package is written by ``write_csv``, and every
 output file through ``open_atomic``, so a failed run leaves no partial file.
@@ -29,6 +31,7 @@ import json
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +43,6 @@ logger = logging.getLogger(__name__)
 
 # exact types: JSON yields no subclasses, and a bool is no number here
 _NUMBER_TYPES = (int, float)
-# feature rows held as Python lists before they join the float matrix; a
-# bound on this keeps the loader's peak memory near the matrix's own size
-_BLOCK_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -109,19 +109,6 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _float_matrix(rows: list[list]) -> np.ndarray:
-    """Equal-length number lists as a float64 matrix, in one ``np.array`` call.
-
-    An integer beyond float range makes that call raise OverflowError; then
-    each entry is converted on its own and such an integer becomes +-inf,
-    which the finiteness checks reject.
-    """
-    try:
-        return np.array(rows, dtype=np.float64)
-    except OverflowError:
-        return np.array([[_to_float(v) for v in row] for row in rows])
-
-
 def _read_columns(path: str | Path, *, require_counts: bool = True):
     """Parse every non-blank metadata line, in one pass and in file order.
 
@@ -135,20 +122,26 @@ def _read_columns(path: str | Path, *, require_counts: bool = True):
         A latent score is None where the record has none.
 
     Raises:
-        ParseError: A line is not a valid record object, or its feature
-            length disagrees with the first one's (with its number).
+        ParseError: A line is not UTF-8 text or not a valid record object,
+            or its feature length disagrees with the first one's (with its
+            number).
     """
     line_numbers, ids, views, faves, latents = [], [], [], [], []
-    blocks, rows, width = [], [], None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
+    values, width = array("d"), None
+    with Path(path).open("rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(line_number, f"not UTF-8 text ({exc.reason})") from exc
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise ParseError(line_number, "invalid JSON (nested too deeply)") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_number, "record is not a JSON object")
 
@@ -178,14 +171,12 @@ def _read_columns(path: str | Path, *, require_counts: bool = True):
             line_numbers.append(line_number)
             ids.append(rec_id)
             latents.append(None if latent is None else _to_float(latent))
-            rows.append(features)
-            if len(rows) == _BLOCK_ROWS:
-                blocks.append(_float_matrix(rows))
-                rows = []
+            try:
+                values.fromlist(features)  # all of the row or, on error, none of it
+            except OverflowError:  # an integer beyond float range
+                values.fromlist([_to_float(v) for v in features])
 
-    if rows:
-        blocks.append(_float_matrix(rows))
-    matrix = np.concatenate(blocks) if blocks else np.empty((0, 0))
+    matrix = np.frombuffer(values).reshape(len(ids), width or 0)
     return line_numbers, ids, views, faves, matrix, latents
 
 
@@ -199,8 +190,9 @@ def load_dataset(path: str | Path) -> Dataset:
     problems abort the load instead:
 
     Raises:
-        ParseError: A line is not a valid record object, or its feature
-            length disagrees with the first one's (with its number).
+        ParseError: A line is not UTF-8 text or not a valid record object,
+            or its feature length disagrees with the first one's (with its
+            number).
     """
     line_numbers, ids, views, faves, features, latents = _read_columns(path)
     finite = np.isfinite(features).all(axis=1).tolist()

@@ -190,7 +190,7 @@ def load(path: str | Path) -> EncoderParams:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise ModelFormatError(f"model file {path} lacks a version header")

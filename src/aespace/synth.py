@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,15 +117,8 @@ def generate(config: SynthConfig) -> Dataset:
 
 def write_sidecar(config: SynthConfig, path: str | Path) -> None:
     """Record the generation config and mixing matrix next to a dataset."""
-    payload = {
-        "n": config.n,
-        "d_in": config.d_in,
-        "noise_sigma": config.noise_sigma,
-        "seed": config.seed,
-        "view_range": list(config.view_range),
-        "rng": "numpy default_rng (PCG64)",
-        "mixing_matrix": [[float(v) for v in row] for row in mixing_matrix(config)],
-    }
+    payload = {**asdict(config), "rng": "numpy default_rng (PCG64)",
+               "mixing_matrix": mixing_matrix(config).tolist()}
     with open_atomic(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

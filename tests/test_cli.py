@@ -593,6 +593,17 @@ class TestBadArtifacts:
         assert "aespace video: error: line 2: non-finite feature entry" in capsys.readouterr().err
         assert not frames_out.exists()
 
+    def test_non_utf8_dataset_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b'{"id": "a", "views": 100, "faves": 10, "features": [1.0, 2.0]}\n'
+                         b'{"id": "\xff", "views": 100, "faves": 10, "features": [1.0, 2.0]}\n')
+        out = tmp_path / "scores.csv"
+        assert run("score", "--input", data, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "aespace score: error: line 2: not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_video_non_finite_frame_names_its_line(self, tmp_path, capsys, bad):
         frames = tmp_path / "f.jsonl"

@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from aespace import data_model
 from aespace.data_model import (
     Dataset,
     compute_score,
@@ -217,12 +216,30 @@ class TestLoadSave:
          "'features' entries must be numbers"),
         ('{"id": "x", "views": 100, "faves": 5, "features": [0.0], "latent_score": "0.5"}',
          "'latent_score' must be a number"),
-    ], ids=["not_object", "id", "feature", "latent_score"])
+        ('{"id": "x", "views": 100, "faves": 5, "features": ' + "[" * 100_000,
+         r"invalid JSON \(nested too deeply\)"),
+    ], ids=["not_object", "id", "feature", "latent_score", "nested"])
     def test_bad_structure_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "views": 100, "faves": 5, "features": [0.0]}\n' + line + "\n")
         with pytest.raises(ParseError, match=f"^line 2: {message}$"):
             load_dataset(path)
+
+    def test_non_utf8_line_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"id": "a", "views": 100, "faves": 5, "features": [0.0]}\n'
+                         b'{"id": "caf\xe9", "views": 100, "faves": 5, "features": [0.0]}\n')
+        with pytest.raises(ParseError, match=r"^line 2: not UTF-8 text \("):
+            load_dataset(path)
+
+    def test_crlf_lines_load_as_lf(self, tmp_path):
+        rows = [{"id": f"r{i}", "views": 100, "faves": 5, "features": [i, 0.5]} for i in range(3)]
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        write_lines(lf, rows)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        expected, loaded = load_dataset(lf), load_dataset(crlf)
+        assert loaded.ids == expected.ids
+        assert loaded.features.tobytes() == expected.features.tobytes()
 
     def test_non_integer_views_is_fatal(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -269,8 +286,7 @@ class TestLoadSave:
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.latent_scores, ds.latent_scores, equal_nan=True)
 
-    def test_rows_across_conversion_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data_model, "_BLOCK_ROWS", 2)
+    def test_row_beyond_float_range_rejected_alone_and_width_error_names_its_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         rows = [{"id": f"r{i}", "views": 100, "faves": 5, "features": [i, 0.5]} for i in range(5)]
         rows[2]["features"] = [HUGE, 0.5]

@@ -289,6 +289,12 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             encoder.load(path)
 
+    def test_nesting_too_deep(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"version": 1, "layer_dims": ' + "[" * 100_000)
+        with pytest.raises(ModelFormatError, match="unreadable model file"):
+            encoder.load(path)
+
     def test_missing_version(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"layer_dims": [2, 2], "weights": [[1,0,0,1]], "biases": [[0,0]]}')
