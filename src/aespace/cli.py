@@ -6,9 +6,9 @@ embed, rank, evaluate orderings, and score frame sequences.
 
 Every run writes its primary output plus a ``<out>.meta.json`` sidecar
 recording the subcommand, the fully resolved config, seeds, paths, the
-package version, and wall-clock duration. The sidecar is skipped when the
-primary output is not a regular file (a pipe or a device). All outputs
-except the duration field are deterministic for fixed flags.
+package version, and wall-clock duration. It and ``synth``'s ``<out>.sidecar.json``
+are skipped when the primary output is not a regular file (a pipe or a device).
+All outputs except the duration field are deterministic for fixed flags.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. A ``ConfigError``,
 raised only while a config is built from the flags, is a usage error.
@@ -53,18 +53,14 @@ def _resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _comma_list(convert, noun: str):
+    """Flag type: a tuple of ``convert`` applied to each comma-separated part."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="dataset path (JSONL)")
     p.add_argument("--embed-dim", type=int, default=TrainConfig.embed_dim,
                    help="embedding dimension (default %(default)s)")
-    p.add_argument("--hidden", type=_parse_dims, default=TrainConfig.hidden_dims,
+    p.add_argument("--hidden", type=_comma_list(int, "integers"), default=TrainConfig.hidden_dims,
                    help="hidden layer widths, comma separated (default %(default)s)")
     p.add_argument("--margin", type=float, default=LossConfig.margin_m,
                    help="triplet margin m (default %(default)s)")
@@ -148,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[model_input],
                        help="pairwise ordering agreement against record scores")
-    p.add_argument("--thresholds", type=_parse_floats,
+    p.add_argument("--thresholds", type=_comma_list(float, "numbers"),
                    default=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
                    help="score-difference thresholds (default 0.1,0.2,0.3,0.4,0.5,0.6)")
     p.add_argument("--out", required=True, help="output CSV path (delta,pairs,agreement)")
@@ -183,10 +179,11 @@ def _cmd_synth(args):
     )
     dataset = synth.generate(config)
     data_model.save_dataset(dataset, args.out)
-    sidecar = f"{args.out}.sidecar.json"
-    synth.write_sidecar(config, sidecar)
-    return {"config": dataclasses.asdict(config), "seed": seed, "inputs": [],
-            "outputs": [args.out, sidecar]}
+    outputs = [args.out]
+    if os.path.isfile(args.out):  # a pipe or a device gets no sidecar
+        outputs.append(f"{args.out}.sidecar.json")
+        synth.write_sidecar(config, outputs[1])
+    return {"config": dataclasses.asdict(config), "seed": seed, "inputs": [], "outputs": outputs}
 
 
 def _cmd_score(args):

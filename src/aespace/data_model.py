@@ -16,8 +16,11 @@ numbers), and optional "latent_score" (number in [0, 1], synthetic ground
 truth only). UTF-8, LF line endings; a line that is not UTF-8, or that nests
 deeper than the JSON decoder can, aborts the load. Counts of any size load;
 a number beyond float range in "features" or "latent_score" rejects its
-record, as an infinite one does. The loader appends every record's features
-to one flat float64 buffer, which becomes the feature matrix without a copy.
+record, as an infinite one does. The loader reads a file once and checks
+each record as it is read: structure, width, then the field checks in
+``load_dataset``'s order, so it keeps the record or logs and skips it; a frame
+file aborts at its first bad line. Kept features go to one flat float64
+buffer, which becomes the feature matrix without a copy.
 
 Every CSV output of the package is written by ``write_csv``, and every
 output file through ``open_atomic``, so a failed run leaves no partial file.
@@ -109,25 +112,25 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _read_columns(path: str | Path, *, require_counts: bool = True):
-    """Parse every non-blank metadata line, in one pass and in file order.
+def _read_columns(path: str | Path, *, frames: bool = False):
+    """Read a metadata file in one pass, checking and keeping each record as it is read.
 
-    Records come back as columns, checked for structure but not validated.
-    With ``require_counts=False`` the views/faves keys may be absent (frame
-    records); absent counts are stored as 0.
+    A line gets the structural checks, the width check against the first
+    record and a finiteness test of its features. A dataset record then runs
+    ``load_dataset``'s field checks and is kept, or logged and skipped. With
+    ``frames=True`` the views/faves keys may be absent, only ids and features
+    are kept, and a non-finite frame aborts the load. Kept features go to one
+    flat float64 buffer, which becomes the matrix without a copy.
 
     Returns:
-        (line_numbers, ids, views, faves, features, latents): lists with one
-        entry per record, except ``features``, the (n, d_in) float64 matrix.
-        A latent score is None where the record has none.
+        The fields of a ``Dataset``, in its order; for frames, views, faves
+        and latent scores are empty.
 
     Raises:
-        ParseError: A line is not UTF-8 text or not a valid record object,
-            or its feature length disagrees with the first one's (with its
-            number).
+        ParseError: As ``load_dataset`` and ``video.load_frames`` describe.
     """
-    line_numbers, ids, views, faves, latents = [], [], [], [], []
-    values, width = array("d"), None
+    ids, views, faves, latents, seen_ids = [], [], [], [], set()
+    values, width, rejected = array("d"), None, 0
     with Path(path).open("rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
             try:
@@ -156,68 +159,63 @@ def _read_columns(path: str | Path, *, require_counts: bool = True):
             latent = obj.get("latent_score")
             if latent is not None and type(latent) not in _NUMBER_TYPES:
                 raise ParseError(line_number, "'latent_score' must be a number")
-            for key, column in (("views", views), ("faves", faves)):
-                value = obj.get(key)
-                if value is None and not require_counts:
-                    value = 0
-                elif type(value) is not int:
+            for key in ("views", "faves"):
+                if type(obj.get(key)) is not int and not (frames and obj.get(key) is None):
                     raise ParseError(line_number, f"missing or non-integer '{key}'")
-                column.append(value)
             if width is None:
                 width = len(features)
             elif len(features) != width:
                 raise ParseError(
                     line_number, f"feature length {len(features)} != {width} established earlier")
-            line_numbers.append(line_number)
-            ids.append(rec_id)
-            latents.append(None if latent is None else _to_float(latent))
             try:
-                values.fromlist(features)  # all of the row or, on error, none of it
+                finite = all(map(math.isfinite, features))
             except OverflowError:  # an integer beyond float range
-                values.fromlist([_to_float(v) for v in features])
+                finite = False
+            if frames and not finite:
+                raise ParseError(line_number, "non-finite feature entry")
+            if not frames:
+                latent = None if latent is None else _to_float(latent)
+                try:
+                    compute_score(obj["views"], obj["faves"])
+                    if not finite:
+                        raise RecordError("features", "non-finite feature entry")
+                    if latent is not None and not 0.0 <= latent <= 1.0:
+                        raise RecordError("latent_score", f"latent_score {latent} outside [0, 1]")
+                    if rec_id in seen_ids:
+                        raise RecordError("id", f"duplicate id {rec_id!r}")
+                except RecordError as exc:
+                    logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
+                    rejected += 1
+                    continue
+                seen_ids.add(rec_id)
+                views.append(obj["views"])
+                faves.append(obj["faves"])
+                latents.append(math.nan if latent is None else latent)
+            ids.append(rec_id)
+            values.fromlist(features)
 
+    if rejected:
+        logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
     matrix = np.frombuffer(values).reshape(len(ids), width or 0)
-    return line_numbers, ids, views, faves, matrix, latents
+    return ids, views, faves, matrix, np.array(latents)
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load a metadata file, rejecting records that violate field constraints.
+    """Load a metadata file in one pass, rejecting records that violate field constraints.
 
-    A record's checks run in this order, and the first that fails rejects
-    it: views, faves, finite features, latent score in [0, 1], an id not
-    already kept. Rejected records are logged with their line number and
-    offending field; a summary line reports the rejection count. Structural
-    problems abort the load instead:
+    Each record is checked as it is read. Its checks run in this order, and
+    the first that fails rejects it: views, faves, finite features, latent
+    score in [0, 1], an id not already kept. Rejected records are logged
+    with their line number and offending field; a summary line reports the
+    rejection count. Structural problems abort the load instead; warnings
+    for earlier lines are logged by then:
 
     Raises:
         ParseError: A line is not UTF-8 text or not a valid record object,
             or its feature length disagrees with the first one's (with its
             number).
     """
-    line_numbers, ids, views, faves, features, latents = _read_columns(path)
-    finite = np.isfinite(features).all(axis=1).tolist()
-    keep: list[int] = []
-    seen_ids: set[str] = set()
-    for i, line_number in enumerate(line_numbers):
-        try:
-            compute_score(views[i], faves[i])
-            if not finite[i]:
-                raise RecordError("features", "non-finite feature entry")
-            if latents[i] is not None and not 0.0 <= latents[i] <= 1.0:
-                raise RecordError("latent_score", f"latent_score {latents[i]} outside [0, 1]")
-            if ids[i] in seen_ids:
-                raise RecordError("id", f"duplicate id {ids[i]!r}")
-        except RecordError as exc:
-            logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
-            continue
-        seen_ids.add(ids[i])
-        keep.append(i)
-
-    if len(keep) < len(ids):
-        logger.info("load_dataset(%s): rejected %d record(s)", path, len(ids) - len(keep))
-    latent = np.array([math.nan if latents[i] is None else latents[i] for i in keep])
-    return Dataset([ids[i] for i in keep], [views[i] for i in keep], [faves[i] for i in keep],
-                   features[keep], latent)
+    return Dataset(*_read_columns(path))
 
 
 @contextlib.contextmanager

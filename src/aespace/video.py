@@ -20,7 +20,7 @@ import numpy as np
 
 from . import encoder, ranker
 from .data_model import _read_columns
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -164,19 +164,18 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
 def load_frames(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Load frame records (metadata lines; views/faves optional) in file order.
 
+    The file is read in one pass, and the first bad line aborts the load:
+    a frame cannot be dropped without shifting the timeline.
+
     Returns:
         (ids, features) with features shaped (n_frames, d_in).
 
     Raises:
         ParseError: A line is structurally invalid, its feature length
-            disagrees with the first line's, or it has a non-finite feature;
-            a frame cannot be dropped without shifting the timeline.
+            disagrees with the first line's, or it has a non-finite feature.
         InputError: The file holds no frames.
     """
-    line_numbers, ids, _, _, features, _ = _read_columns(path, require_counts=False)
+    ids, _, _, features, _ = _read_columns(path, frames=True)
     if not ids:
         raise InputError(f"no frames in {path}")
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise ParseError(line_numbers[int(np.argmax(bad))], "non-finite feature entry")
     return ids, features

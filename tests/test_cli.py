@@ -685,3 +685,22 @@ class TestSidecar:
         assert code == 0
         assert received == [regular.read_text()]
         assert not (tmp_path / "s.csv.meta.json").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_synth_into_a_pipe_writes_no_sidecar(self, tmp_path):
+        regular = tmp_path / "regular.jsonl"
+        assert run("synth", "--n", "20", "--din", "3", "--out", regular) == 0
+        fifo = tmp_path / "d.jsonl"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            code = run("synth", "--n", "20", "--din", "3", "--out", fifo)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [regular.read_text()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d.jsonl", "regular.jsonl", "regular.jsonl.meta.json", "regular.jsonl.sidecar.json"]

@@ -299,6 +299,21 @@ class TestLoadSave:
         with pytest.raises(ParseError, match="line 4: feature length 1 != 2"):
             load_dataset(path)
 
+    def test_feature_matrix_is_the_loader_buffer(self, tmp_path):
+        rows = [{"id": f"r{i}", "views": 100, "faves": 5, "features": [i, 0.5]} for i in range(3)]
+        rows[1]["faves"] = 0
+        write_lines(tmp_path / "d.jsonl", rows)
+        ds = load_dataset(tmp_path / "d.jsonl")
+        assert ds.features.tolist() == [[0.0, 0.5], [2.0, 0.5]]
+        assert not ds.features.flags.owndata
+
+    def test_rejections_before_a_bad_line_are_logged(self, tmp_path, caplog):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "views": 1, "faves": 1, "features": [1.0]}\n{"id": \n')
+        with caplog.at_level("WARNING"), pytest.raises(ParseError, match="^line 2: invalid JSON"):
+            load_dataset(path)
+        assert rejections(caplog) == ["rejected record at line 1 (views): views must be >= 2, got 1"]
+
     def test_mixed_latent_scores_round_trip_byte_identical(self, tmp_path):
         source = tmp_path / "in.jsonl"
         write_lines(source, [

@@ -295,6 +295,14 @@ class TestFrameIO:
         with pytest.raises(ParseError):
             load_frames(path)
 
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text(
+            '{"id": "f0", "features": [1.0]}\n{"id": "f1", "features": [NaN]}\n{"id": \n'
+        )
+        with pytest.raises(ParseError, match="^line 2: non-finite feature entry$"):
+            load_frames(path)
+
     def test_write_frame_csv(self, tmp_path):
         frames = tmp_path / "f.jsonl"
         frames.write_text(
