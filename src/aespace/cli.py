@@ -261,7 +261,7 @@ def _load_model_and_dataset(args):
 
 def _cmd_embed(args):
     params, dataset = _load_model_and_dataset(args)
-    embeddings = ranker.embed(params, dataset.features).tolist()
+    embeddings = data_model.block_rows(ranker.embed(params, dataset.features))
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
     rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids, embeddings))
     data_model.write_csv(args.out, header, rows)

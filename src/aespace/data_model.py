@@ -22,6 +22,11 @@ each record as it is read: structure, width, then the field checks in
 file aborts at its first bad line. Kept features go to one flat float64
 buffer, which becomes the feature matrix without a copy.
 
+Whole-collection matrices are handled ``ROW_BLOCK`` rows at a time:
+``block_rows`` turns one block at a time into Python floats for
+``save_dataset`` and the ``embed`` command, and ``encoder.forward`` embeds
+one block at a time.
+
 Every CSV output of the package is written by ``write_csv``, and every
 output file through ``open_atomic``, so a failed run leaves no partial file.
 """
@@ -46,6 +51,8 @@ logger = logging.getLogger(__name__)
 
 # exact types: JSON yields no subclasses, and a bool is no number here
 _NUMBER_TYPES = (int, float)
+
+ROW_BLOCK = 1024  # rows a matrix is converted to lists, or embedded, at a time
 
 
 @dataclass(eq=False)
@@ -245,17 +252,28 @@ def open_atomic(path: str | Path, newline: str = "\n"):
         raise
 
 
+def block_rows(matrix: np.ndarray):
+    """Each row of a 2-D array as a list of Python floats, converted ``ROW_BLOCK`` rows at a time.
+
+    Only one block's lists are alive at once, not the whole matrix's.
+    """
+    for start in range(0, len(matrix), ROW_BLOCK):
+        yield from matrix[start:start + ROW_BLOCK].tolist()
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the one-record-per-line metadata format.
 
     Floats are serialized with the shortest representation that parses back
     to the identical value (at most 17 significant digits), so a
-    load/save/load cycle is exact.
+    load/save/load cycle is exact. Feature rows become Python lists one
+    ``ROW_BLOCK`` at a time (``block_rows``), so the write holds one block of
+    them besides the dataset, not a list copy of the whole matrix.
     """
     with open_atomic(path) as fh:
         for rec_id, views, faves, features, latent in zip(
             dataset.ids, dataset.views, dataset.faves,
-            dataset.features.tolist(), dataset.latent_scores.tolist(),
+            block_rows(dataset.features), dataset.latent_scores.tolist(),
         ):
             obj = {"id": rec_id, "views": int(views), "faves": int(faves), "features": features}
             if not math.isnan(latent):

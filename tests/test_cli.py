@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from aespace import cli, data_model, encoder, trainer
+from aespace import cli, data_model, encoder, ranker, trainer
 
 
 @pytest.fixture(autouse=True)
@@ -498,6 +498,49 @@ class TestOutputs:
         assert sidecar["seed"] == 5
         assert len(sidecar["mixing_matrix"]) == 4
         assert all(len(row) == 5 for row in sidecar["mixing_matrix"])
+
+
+class TestRowBlocks:
+    """A collection one row past two row blocks gives the outputs of one pass over every row."""
+
+    @pytest.fixture(scope="class")
+    def collection(self, workspace, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blocks") / "data.jsonl"
+        assert run("synth", "--n", 2 * data_model.ROW_BLOCK + 1, "--din", "4", "--noise", "0.1",
+                   "--seed", "6", "--out", path) == 0
+        dataset = data_model.load_dataset(path)
+        phi = encoder._forward_pass(encoder.load(workspace["model"]), dataset.features)[-1]
+        return path, dataset, phi
+
+    def output(self, workspace, tmp_path, collection, command):
+        out = tmp_path / f"{command}.csv"
+        input_flag = "--frames" if command == "video" else "--input"
+        assert run(command, "--model", workspace["model"], input_flag, collection[0],
+                   "--out", out) == 0
+        return out.read_text().splitlines()[1:]
+
+    def test_embed(self, workspace, tmp_path, collection):
+        _, dataset, phi = collection
+        assert self.output(workspace, tmp_path, collection, "embed") == [
+            ",".join([rec_id, *map(repr, row)]) for rec_id, row in zip(dataset.ids, phi.tolist())]
+
+    def test_rank(self, workspace, tmp_path, collection):
+        _, dataset, phi = collection
+        norms = ranker.projection_score(phi).tolist()
+        order = sorted(range(len(norms)), key=lambda i: (-norms[i], dataset.ids[i]))
+        assert self.output(workspace, tmp_path, collection, "rank") == [
+            f"{rank},{dataset.ids[i]},{norms[i]!r}" for rank, i in enumerate(order, start=1)]
+
+    def test_eval(self, workspace, tmp_path, collection):
+        _, dataset, phi = collection
+        rows = ranker.pairwise_agreement(ranker.projection_score(phi), dataset.scores(),
+                                         [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert self.output(workspace, tmp_path, collection, "eval") == [
+            f"{row.delta!r},{row.pairs},{row.agreement!r}" for row in rows]
+
+    def test_video_raw_scores(self, workspace, tmp_path, collection):
+        raw = [line.split(",")[1] for line in self.output(workspace, tmp_path, collection, "video")]
+        assert raw == [repr(v) for v in ranker.projection_score(collection[2]).tolist()]
 
 
 class TestBadArtifacts:

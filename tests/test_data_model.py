@@ -4,11 +4,13 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aespace.data_model import (
+    ROW_BLOCK,
     Dataset,
     compute_score,
     load_dataset,
@@ -285,6 +287,39 @@ class TestLoadSave:
         assert loaded.faves == ds.faves
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.latent_scores, ds.latent_scores, equal_nan=True)
+
+    def test_round_trip_across_row_blocks_exact(self, tmp_path):
+        n = 2 * ROW_BLOCK + 1
+        rng = np.random.default_rng(14)
+        latents = rng.uniform(size=n)
+        latents[::3] = np.nan
+        ds = Dataset([f"r{i}" for i in range(n)], [1000 + i for i in range(n)],
+                     [1 + i % 1000 for i in range(n)], rng.normal(size=(n, 3)), latents)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_dataset(ds, first)
+        loaded = load_dataset(first)
+        save_dataset(loaded, second)
+        again = load_dataset(second)
+        assert second.read_bytes() == first.read_bytes()
+        for got in (loaded, again):
+            assert got.ids == ds.ids
+            assert got.views == ds.views
+            assert got.faves == ds.faves
+            np.testing.assert_array_equal(got.features, ds.features)
+            np.testing.assert_array_equal(got.latent_scores, ds.latent_scores)
+
+    def test_save_holds_one_block_of_feature_lists(self, tmp_path):
+        # lists of the whole matrix would take about 2.9 MB here
+        n = 5_000
+        ds = Dataset([f"r{i}" for i in range(n)], [100] * n, [5] * n,
+                     np.random.default_rng(15).normal(size=(n, 16)), np.full(n, np.nan))
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path / "d.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ds.features.nbytes
 
     def test_row_beyond_float_range_rejected_alone_and_width_error_names_its_line(self, tmp_path):
         path = tmp_path / "d.jsonl"

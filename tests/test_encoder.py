@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aespace import encoder
+from aespace.data_model import ROW_BLOCK
 from aespace.errors import ConfigError, InputError, ModelFormatError, ModelVersionError
 from aespace.loss import LossConfig, directional_triplet_loss
 
@@ -93,6 +95,28 @@ class TestForward:
         # batched matmul may reduce in a different order than the matvec path
         for i in range(9):
             np.testing.assert_allclose(out[i], encoder.forward(params, batch[i]), rtol=1e-13, atol=1e-15)
+
+    # ROW_BLOCK + 1 and 2 * ROW_BLOCK + 1 leave one row over under range(0, n, ROW_BLOCK)
+    # slicing, and a 1-row piece takes the matvec path
+    @pytest.mark.parametrize("n", [0, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_row_blocks_match_one_pass(self, n):
+        params = encoder.init([16, 64, 32, 16], seed=7)
+        x = np.random.default_rng(12).normal(size=(n, 16))
+        out = encoder.forward(params, x)
+        assert out.shape == (n, 16)
+        np.testing.assert_array_equal(out, encoder._forward_pass(params, x)[-1])
+
+    def test_memory_holds_one_block_of_activations(self):
+        # one pass over all 50,000 rows peaks near 45 MB
+        params = encoder.init([16, 64, 32, 16], seed=7)
+        x = np.random.default_rng(13).normal(size=(50_000, 16))
+        tracemalloc.start()
+        try:
+            out = encoder.forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes
 
     def test_shape_error(self):
         params = encoder.init([4, 2], seed=0)
