@@ -261,7 +261,7 @@ def _load_model_and_dataset(args):
 
 def _cmd_embed(args):
     params, dataset = _load_model_and_dataset(args)
-    embeddings = data_model.block_rows(ranker.embed(params, dataset.features))
+    embeddings = data_model.block_rows(ranker.embed(params, dataset.features)[0])
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
     rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids, embeddings))
     data_model.write_csv(args.out, header, rows)
@@ -283,8 +283,8 @@ def _cmd_eval(args):
     except InputError as exc:
         raise _UsageError(str(exc)) from exc
     params, dataset = _load_model_and_dataset(args)
-    proj = ranker.projection_score(ranker.embed(params, dataset.features))
-    rows = ranker.pairwise_agreement(proj, dataset.scores(), args.thresholds)
+    norms = ranker.embed(params, dataset.features)[1]  # indexed, so phi is freed before the sweep
+    rows = ranker.pairwise_agreement(norms, dataset.scores(), args.thresholds)
     data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))
     return {"config": {"thresholds": list(args.thresholds)}, "seed": None,
             "inputs": [args.model, args.input], "outputs": [args.out]}

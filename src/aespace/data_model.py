@@ -22,10 +22,10 @@ each record as it is read: structure, width, then the field checks in
 file aborts at its first bad line. Kept features go to one flat float64
 buffer, which becomes the feature matrix without a copy.
 
-Whole-collection matrices are handled ``ROW_BLOCK`` rows at a time:
-``block_rows`` turns one block at a time into Python floats for
-``save_dataset`` and the ``embed`` command, and ``encoder.forward`` embeds
-one block at a time.
+Whole-collection matrices are cut into blocks of rows by one rule,
+``row_blocks``: ``encoder.forward`` embeds, ``ranker.embed`` takes norms of,
+and ``block_rows`` converts to Python floats (for ``save_dataset`` and the
+``embed`` command) one block at a time.
 
 Every CSV output of the package is written by ``write_csv``, and every
 output file through ``open_atomic``, so a failed run leaves no partial file.
@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 # exact types: JSON yields no subclasses, and a bool is no number here
 _NUMBER_TYPES = (int, float)
 
-ROW_BLOCK = 1024  # rows a matrix is converted to lists, or embedded, at a time
+ROW_BLOCK = 1024  # most rows in a block from ``row_blocks``
 
 
 @dataclass(eq=False)
@@ -252,13 +252,23 @@ def open_atomic(path: str | Path, newline: str = "\n"):
         raise
 
 
+def row_blocks(matrix: np.ndarray) -> list[np.ndarray]:
+    """Views of ceil(n / ROW_BLOCK) nearly equal blocks of rows, none of one row when n >= 2.
+
+    BLAS multiplies a single row by a matrix-vector kernel, which may round
+    differently; blocks of 2 rows or more give the bits of one pass over all
+    n rows (OpenBLAS 0.3.31, 1 and 2 threads, blocks of 2 to 16,384 rows).
+    """
+    return np.array_split(matrix, max(1, -(-len(matrix) // ROW_BLOCK)))
+
+
 def block_rows(matrix: np.ndarray):
-    """Each row of a 2-D array as a list of Python floats, converted ``ROW_BLOCK`` rows at a time.
+    """Each row of a 2-D array as a list of Python floats, converted a ``row_blocks`` block at a time.
 
     Only one block's lists are alive at once, not the whole matrix's.
     """
-    for start in range(0, len(matrix), ROW_BLOCK):
-        yield from matrix[start:start + ROW_BLOCK].tolist()
+    for block in row_blocks(matrix):
+        yield from block.tolist()
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -267,8 +277,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     Floats are serialized with the shortest representation that parses back
     to the identical value (at most 17 significant digits), so a
     load/save/load cycle is exact. Feature rows become Python lists one
-    ``ROW_BLOCK`` at a time (``block_rows``), so the write holds one block of
-    them besides the dataset, not a list copy of the whole matrix.
+    block at a time (``block_rows``), so the write holds one block of them
+    besides the dataset, not a list copy of the whole matrix.
     """
     with open_atomic(path) as fh:
         for rec_id, views, faves, features, latent in zip(

@@ -12,11 +12,10 @@ bias; its per-layer arrays are views into it, so one array operation
 updates every layer. Gradients are an ``EncoderParams`` over a second buffer
 of the same size. This module alone decides that layout.
 
-Inference (``forward``) runs the layers over ``ROW_BLOCK``-row pieces of its
-input and writes each piece's embeddings into one preallocated output, so at
-most one piece's hidden activations are alive at a time. Training calls
-``_forward_pass`` on the whole batch, because ``_backward_pass`` needs every
-layer's activations for every row.
+Inference (``forward``) writes each ``data_model.row_blocks`` block's
+embeddings into one preallocated output, so at most one block's hidden
+activations are alive at a time. Training calls ``_forward_pass`` on the whole
+batch, because ``_backward_pass`` needs every layer's activations for every row.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import ROW_BLOCK, open_atomic
+from .data_model import open_atomic, row_blocks
 from .errors import ConfigError, InputError, ModelFormatError, ModelVersionError
 
 MODEL_FILE_VERSION = 1
@@ -137,19 +136,11 @@ def _backward_pass(params, h, grad, grads_out: EncoderParams) -> np.ndarray:
 
 
 def forward(params: EncoderParams, x) -> np.ndarray:
-    """Embed one feature vector (1-D) or a stack of them (2-D, row-wise).
-
-    The stack is cut into ceil(n / ROW_BLOCK) nearly equal pieces, none of
-    one row when n >= 2: BLAS multiplies a single row by a matrix-vector
-    kernel, which may round differently, while pieces of 2 rows or more give
-    the bits of one pass over all n rows (OpenBLAS 0.3.31, 1 and 2 threads,
-    pieces of 2 to 16,384 rows).
-    """
+    """Embed one feature vector (1-D) or a stack of them (2-D, row-wise), a ``row_blocks`` block at a time."""
     xb, single = _as_batch(x, params.d_in)
     out = np.empty((len(xb), params.d_out))
-    pieces = max(1, -(-len(xb) // ROW_BLOCK))
-    for piece, dest in zip(np.array_split(xb, pieces), np.array_split(out, pieces)):
-        dest[...] = _forward_pass(params, piece)[-1]
+    for block, dest in zip(row_blocks(xb), row_blocks(out)):
+        dest[...] = _forward_pass(params, block)[-1]
     return out[0] if single else out
 
 

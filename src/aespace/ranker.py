@@ -1,9 +1,9 @@
 """Norm projection, collection ordering, and rank-agreement evaluation.
 
 The embedding space only encodes relative distances; to put items on a 1-D
-scale we take the Euclidean norm of each embedding as its projection score.
-Any common rotation of the space leaves both distances and norms unchanged,
-so orderings survive re-orientation of the embedding axes.
+scale, ``embed`` takes the Euclidean norm of each embedding, its projection
+score, once for every caller. Any common rotation of the space leaves both
+distances and norms unchanged, so orderings survive re-orientation of the axes.
 
 Pairwise agreement and Kendall tau come from one exact sweep,
 ``_count_agreeing``, and match their all-pairs definitions bit for bit.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .data_model import Dataset
+from .data_model import Dataset, row_blocks
 from .errors import InputError, NonFiniteError
 
 
@@ -42,11 +42,12 @@ def projection_score(phi):
     return np.linalg.norm(np.asarray(phi, dtype=np.float64), axis=-1)
 
 
-def embed(params: encoder.EncoderParams, features) -> np.ndarray:
-    """``encoder.forward`` for inference: embeddings whose norms are all finite.
+def embed(params: encoder.EncoderParams, features) -> tuple[np.ndarray, np.ndarray]:
+    """``encoder.forward`` for inference, and each embedding's projection score, all finite.
 
     A model with huge (but finite) weights can overflow on ordinary input;
-    its output would rank and score as NaN or infinity.
+    its output would rank and score as NaN or infinity. The norms are taken
+    one ``row_blocks`` block at a time; a 1-D input gives one float norm.
 
     Raises:
         InputError: The features are ragged or not the model's width.
@@ -55,13 +56,14 @@ def embed(params: encoder.EncoderParams, features) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         phi = encoder.forward(params, features)
-        bad = ~np.isfinite(projection_score(phi))
+        norms = np.concatenate([projection_score(block) for block in row_blocks(np.atleast_2d(phi))])
+    bad = ~np.isfinite(norms)
     if bad.any():
         raise NonFiniteError(
             f"model output is not finite for {int(bad.sum())} of {bad.size} input(s) "
             f"(first: input {int(np.argmax(bad))})"
         )
-    return phi
+    return phi, norms[0] if phi.ndim == 1 else norms
 
 
 def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tuple[str, float]]:
@@ -76,7 +78,7 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
         InputError: The dataset's feature width is not the model's.
         NonFiniteError: The model output is NaN or infinite for some record.
     """
-    norms = projection_score(embed(params, dataset.features)).tolist()
+    norms = embed(params, dataset.features)[1].tolist()
     order = sorted(range(len(norms)), key=lambda i: (-norms[i], dataset.ids[i]))
     return [(dataset.ids[i], norms[i]) for i in order]
 

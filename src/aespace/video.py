@@ -69,7 +69,7 @@ def score_sequence(params: encoder.EncoderParams, frames) -> list[float]:
         InputError: The frames are ragged or not the model's width.
         NonFiniteError: The model output is NaN or infinite for some frame.
     """
-    return ranker.projection_score(ranker.embed(params, frames)).tolist()
+    return ranker.embed(params, frames)[1].tolist()
 
 
 def kalman_smooth(series, config: KalmanConfig = KalmanConfig()) -> list[float]:

@@ -1,0 +1,58 @@
+"""Each decision named below is written in one module under ``src/aespace``.
+
+The row-block rule (``np.array_split`` into ``ROW_BLOCK``-row blocks) lives in
+``data_model.row_blocks``, and the projection score is taken only inside
+``ranker``, whose ``embed`` returns the norms to every caller. A name counts
+wherever it appears as an ``ast.Name``, an ``ast.Attribute`` or an imported
+name; ``__init__.py`` only re-exports the public API, so it is not counted.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "aespace"
+
+OWNERS = {
+    "array_split": "data_model.py",
+    "ROW_BLOCK": "data_model.py",
+    "projection_score": "ranker.py",
+}
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+
+
+def _modules_naming():
+    naming = {name: set() for name in OWNERS}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for name in _names(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in naming:
+                naming[name].add(path.name)
+    return naming
+
+
+def test_each_name_is_used_in_its_owner_only():
+    assert _modules_naming() == {name: {owner} for name, owner in OWNERS.items()}
+
+
+def test_projection_score_is_called_only_inside_embed():
+    tree = ast.parse((SRC / "ranker.py").read_text(encoding="utf-8"))
+    callers = {
+        node.name
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+        and inner.func.id == "projection_score"
+    }
+    assert callers == {"embed"}

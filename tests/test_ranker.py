@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import kendalltau, ortho_group
 
 from aespace import cli, encoder
-from aespace.data_model import Dataset, save_dataset
+from aespace.data_model import ROW_BLOCK, Dataset, save_dataset
 from aespace.errors import InputError, NonFiniteError
 from aespace.ranker import (
     embed,
@@ -122,7 +122,43 @@ class TestProjectionScore:
 class TestEmbed:
     def test_returns_forward(self):
         x = np.random.default_rng(50).normal(size=(4, 2))
-        np.testing.assert_array_equal(embed(identity_params(2), x), x)
+        np.testing.assert_array_equal(embed(identity_params(2), x)[0], x)
+
+    # ROW_BLOCK + 1 and 2 * ROW_BLOCK + 1 leave one row over under range(0, n, ROW_BLOCK)
+    # slicing, and the norms of each block must equal those of the whole output
+    @pytest.mark.parametrize("n", [0, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_matches_one_pass(self, n):
+        params = encoder.init([16, 64, 32, 16], seed=7)
+        x = np.random.default_rng(51).normal(size=(n, 16))
+        phi, norms = embed(params, x)
+        want = encoder.forward(params, x)
+        assert norms.shape == (n,)
+        np.testing.assert_array_equal(phi, want)
+        np.testing.assert_array_equal(norms, projection_score(want))
+
+    def test_memory_holds_one_block_of_norm_temporaries(self):
+        # the norms of the whole output at once add an (n, d_out) temporary: a 13.6 MB peak here
+        params = encoder.init([16, 64, 32, 16], seed=7)
+        x = np.random.default_rng(52).normal(size=(50_000, 16))
+        tracemalloc.start()
+        try:
+            phi, _ = embed(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * phi.nbytes
+
+    def test_single_vector(self):
+        params = encoder.init([16, 64, 32, 16], seed=7)
+        v = np.random.default_rng(53).normal(size=16)
+        phi, norm = embed(params, v)
+        assert phi.shape == (16,)
+        assert np.ndim(norm) == 0
+        assert norm == projection_score(phi)
+
+    def test_single_non_finite_vector_rejected(self):
+        with pytest.raises(NonFiniteError, match="1 of 1 input"):
+            embed(identity_params(2), [1e200, 1.0])
 
     @pytest.mark.parametrize("row", [[1e200, 1e200], [math.nan, 0.0], [math.inf, 0.0]])
     def test_non_finite_output_or_norm_rejected(self, row):
