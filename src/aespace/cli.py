@@ -23,6 +23,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, data_model, encoder, ranker, synth, trainer, video
 from .errors import AespaceError, ConfigError, InputError
 from .loss import LossConfig
@@ -187,8 +189,9 @@ def _cmd_synth(args):
 
 
 def _cmd_score(args):
-    dataset = data_model.load_dataset(args.input)
-    data_model.write_csv(args.out, ("id", "score"), zip(dataset.ids, dataset.scores().tolist()))
+    kept = [(block.ids, block.scores()) for block in data_model.read_blocks(args.input)]
+    data_model.write_csv(args.out, ("id", "score"), (
+        row for ids, scores in kept for row in zip(ids, scores.tolist())))
     return {"config": {}, "seed": None, "inputs": [args.input], "outputs": [args.out]}
 
 
@@ -255,22 +258,18 @@ def _cmd_train(args):
             "outputs": [args.model_out, args.log_out]}
 
 
-def _load_model_and_dataset(args):
-    return encoder.load(args.model), data_model.load_dataset(args.input)
-
-
 def _cmd_embed(args):
-    params, dataset = _load_model_and_dataset(args)
-    embeddings = data_model.block_rows(ranker.embed(params, dataset.features)[0])
+    params = encoder.load(args.model)
+    blocks = ranker.embed_blocks(ranker.embed, params, data_model.read_blocks(args.input))
     header = ["id", *(f"phi{j}" for j in range(params.d_out))]
-    rows = ([rec_id, *phi] for rec_id, phi in zip(dataset.ids, embeddings))
-    data_model.write_csv(args.out, header, rows)
+    data_model.write_csv(args.out, header, (
+        [rec_id, *phi]
+        for block, (embeddings, _) in blocks for rec_id, phi in zip(block.ids, embeddings.tolist())))
     return {"config": {}, "seed": None, "inputs": [args.model, args.input], "outputs": [args.out]}
 
 
 def _cmd_rank(args):
-    params, dataset = _load_model_and_dataset(args)
-    ranked = ranker.rank_collection(params, dataset)
+    ranked = ranker.rank_collection(encoder.load(args.model), data_model.read_blocks(args.input))
     data_model.write_csv(args.out, ("rank", "id", "score"), (
         (rank, rec_id, score) for rank, (rec_id, score) in enumerate(ranked, start=1)
     ))
@@ -282,9 +281,13 @@ def _cmd_eval(args):
         ranker.check_thresholds(args.thresholds)
     except InputError as exc:
         raise _UsageError(str(exc)) from exc
-    params, dataset = _load_model_and_dataset(args)
-    norms = ranker.embed(params, dataset.features)[1]  # indexed, so phi is freed before the sweep
-    rows = ranker.pairwise_agreement(norms, dataset.scores(), args.thresholds)
+    params = encoder.load(args.model)
+    norms, scores = [], []
+    for block, (_, block_norms) in ranker.embed_blocks(ranker.embed, params,
+                                                       data_model.read_blocks(args.input)):
+        norms.append(block_norms)
+        scores.append(block.scores())
+    rows = ranker.pairwise_agreement(np.concatenate(norms), np.concatenate(scores), args.thresholds)
     data_model.write_csv(args.out, ("delta", "pairs", "agreement"), map(dataclasses.astuple, rows))
     return {"config": {"thresholds": list(args.thresholds)}, "seed": None,
             "inputs": [args.model, args.input], "outputs": [args.out]}
@@ -294,8 +297,11 @@ def _cmd_video(args):
     kalman = KalmanConfig(q=args.q, r=args.r)
     peaks_cfg = PeakConfig(min_separation=args.min_sep, min_prominence=args.min_prom)
     params = encoder.load(args.model)
-    ids, features = video.load_frames(args.frames)
-    raw = video.score_sequence(params, features)
+    ids, raw = [], []
+    for block, scores in ranker.embed_blocks(video.score_sequence, params,
+                                             video.load_frames(args.frames)):
+        ids += block.ids
+        raw += scores
     smoothed = video.kalman_smooth(raw, kalman)
     peaks = video.detect_peaks(smoothed, peaks_cfg)
     peak_set = set(peaks)

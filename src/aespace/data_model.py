@@ -16,16 +16,21 @@ numbers), and optional "latent_score" (number in [0, 1], synthetic ground
 truth only). UTF-8, LF line endings; a line that is not UTF-8, or that nests
 deeper than the JSON decoder can, aborts the load. Counts of any size load;
 a number beyond float range in "features" or "latent_score" rejects its
-record, as an infinite one does. The loader reads a file once and checks
-each record as it is read: structure, width, then the field checks in
-``load_dataset``'s order, so it keeps the record or logs and skips it; a frame
-file aborts at its first bad line. Kept features go to one flat float64
-buffer, which becomes the feature matrix without a copy.
+record, as an infinite one does. The one reader, ``read_blocks``, reads a
+file once and checks each record as it is read: structure, width, then the
+field checks in ``load_dataset``'s order, so it keeps the record or logs and
+skips it; a frame file aborts at its first bad line. It yields the kept
+records as ``Dataset`` blocks of ``ROW_BLOCK`` rows, so a command that only
+reduces a file (``score``, ``embed``, ``rank``, ``eval``, ``video``) holds one
+block of features and embeddings at a time, plus what it keeps per record.
+``load_dataset``, for the commands that need every row at once (``train``,
+``sample``), appends the blocks' features to one flat float64 buffer, which
+becomes the feature matrix without a copy.
 
-Whole-collection matrices are cut into blocks of rows by one rule,
-``row_blocks``: ``encoder.forward`` embeds, ``ranker.embed`` takes norms of,
-and ``block_rows`` converts to Python floats (for ``save_dataset`` and the
-``embed`` command) one block at a time.
+Matrices are cut into blocks of rows by one rule, ``row_blocks``:
+``encoder.forward`` embeds, ``ranker.embed`` takes norms of, and
+``block_rows`` converts to Python floats (for ``save_dataset``) one block at
+a time. Neither rule leaves a block of one row when n >= 2.
 
 Every CSV output of the package is written by ``write_csv``, and every
 output file through ``open_atomic``, so a failed run leaves no partial file.
@@ -40,6 +45,7 @@ import logging
 import math
 import os
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,9 +56,10 @@ from .errors import InputError, ParseError, RecordError
 logger = logging.getLogger(__name__)
 
 # exact types: JSON yields no subclasses, and a bool is no number here
-_NUMBER_TYPES = (int, float)
+_NUMBER_TYPES = frozenset((int, float))
 
-ROW_BLOCK = 1024  # most rows in a block from ``row_blocks``
+# the most rows in a ``row_blocks`` block, and the rows of each ``read_blocks`` block but the last
+ROW_BLOCK = 1024
 
 
 @dataclass(eq=False)
@@ -119,25 +126,42 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _read_columns(path: str | Path, *, frames: bool = False):
-    """Read a metadata file in one pass, checking and keeping each record as it is read.
+def are_numbers(values) -> bool:
+    """True iff every entry of ``values`` is a JSON number: an int or a float, not a bool."""
+    return _NUMBER_TYPES.issuperset(map(type, values))
+
+
+def _take(columns: tuple, k: int, width: int) -> Dataset:
+    """The first ``k`` records in the reader's column buffers, as a ``Dataset`` removed from them."""
+    ids, views, faves, latents, values = columns
+    block = Dataset(ids[:k], views[:k], faves[:k],
+                    np.frombuffer(values[:k * width]).reshape(k, width), np.array(latents[:k]))
+    for column, size in zip(columns, (k, k, k, k, k * width)):
+        del column[:size]
+    return block
+
+
+def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
+    """Read a metadata file in one pass, yielding its kept records as ``Dataset`` blocks.
 
     A line gets the structural checks, the width check against the first
     record and a finiteness test of its features. A dataset record then runs
     ``load_dataset``'s field checks and is kept, or logged and skipped. With
     ``frames=True`` the views/faves keys may be absent, only ids and features
-    are kept, and a non-finite frame aborts the load. Kept features go to one
-    flat float64 buffer, which becomes the matrix without a copy.
+    are kept (views, faves and latent scores are empty), and a non-finite
+    frame aborts the read.
 
-    Returns:
-        The fields of a ``Dataset``, in its order; for frames, views, faves
-        and latent scores are empty.
+    Blocks hold ``ROW_BLOCK`` records in file order, the last one the 0 to
+    ``ROW_BLOCK + 1`` left over: two records are held back until more follow,
+    so that, as with ``row_blocks``, no block has one row when n >= 2. An
+    empty file gives one empty block.
 
     Raises:
-        ParseError: As ``load_dataset`` and ``video.load_frames`` describe.
+        ParseError: As ``load_dataset`` and ``video.load_frames`` describe,
+            once the reading reaches the bad line.
     """
-    ids, views, faves, latents, seen_ids = [], [], [], [], set()
-    values, width, rejected = array("d"), None, 0
+    columns = ids, views, faves, latents, values = [], [], [], [], array("d")
+    seen_ids, width, rejected = set(), 0, 0
     with Path(path).open("rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
             try:
@@ -161,7 +185,7 @@ def _read_columns(path: str | Path, *, frames: bool = False):
             features = obj.get("features")
             if not isinstance(features, list) or not features:
                 raise ParseError(line_number, "missing or empty 'features' array")
-            if not all(type(v) in _NUMBER_TYPES for v in features):
+            if not are_numbers(features):
                 raise ParseError(line_number, "'features' entries must be numbers")
             latent = obj.get("latent_score")
             if latent is not None and type(latent) not in _NUMBER_TYPES:
@@ -169,7 +193,7 @@ def _read_columns(path: str | Path, *, frames: bool = False):
             for key in ("views", "faves"):
                 if type(obj.get(key)) is not int and not (frames and obj.get(key) is None):
                     raise ParseError(line_number, f"missing or non-integer '{key}'")
-            if width is None:
+            if not width:
                 width = len(features)
             elif len(features) != width:
                 raise ParseError(
@@ -200,11 +224,12 @@ def _read_columns(path: str | Path, *, frames: bool = False):
                 latents.append(math.nan if latent is None else latent)
             ids.append(rec_id)
             values.fromlist(features)
+            if len(ids) == ROW_BLOCK + 2:
+                yield _take(columns, ROW_BLOCK, width)
 
     if rejected:
         logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
-    matrix = np.frombuffer(values).reshape(len(ids), width or 0)
-    return ids, views, faves, matrix, np.array(latents)
+    yield _take(columns, len(ids), width)
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -215,14 +240,24 @@ def load_dataset(path: str | Path) -> Dataset:
     score in [0, 1], an id not already kept. Rejected records are logged
     with their line number and offending field; a summary line reports the
     rejection count. Structural problems abort the load instead; warnings
-    for earlier lines are logged by then:
+    for earlier lines are logged by then. The ``read_blocks`` blocks are
+    appended to one feature buffer, which becomes the matrix without a copy.
 
     Raises:
         ParseError: A line is not UTF-8 text or not a valid record object,
             or its feature length disagrees with the first one's (with its
             number).
     """
-    return Dataset(*_read_columns(path))
+    ids, views, faves, values, latents, width = [], [], [], array("d"), array("d"), 0
+    for block in read_blocks(path):
+        ids += block.ids
+        views += block.views
+        faves += block.faves
+        values.frombytes(block.features.tobytes())
+        latents.frombytes(block.latent_scores.tobytes())
+        width = block.features.shape[1]
+    return Dataset(ids, views, faves, np.frombuffer(values).reshape(len(ids), width),
+                   np.frombuffer(latents))
 
 
 @contextlib.contextmanager

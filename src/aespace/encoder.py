@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import open_atomic, row_blocks
+from .data_model import are_numbers, open_atomic, row_blocks
 from .errors import ConfigError, InputError, ModelFormatError, ModelVersionError
 
 MODEL_FILE_VERSION = 1
@@ -179,8 +179,7 @@ def save(params: EncoderParams, path: str | Path) -> None:
 
 def _numbers(values, size: int) -> bool:
     """True iff ``values`` is a flat list of ``size`` JSON numbers (a bool is not one)."""
-    return isinstance(values, list) and len(values) == size and all(
-        type(v) in (int, float) for v in values)
+    return isinstance(values, list) and len(values) == size and are_numbers(values)
 
 
 def load(path: str | Path) -> EncoderParams:

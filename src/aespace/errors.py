@@ -30,7 +30,17 @@ class InputError(AespaceError):
 
 
 class NonFiniteError(AespaceError):
-    """Model output overflowed to a NaN or infinite value."""
+    """Model output overflowed to a NaN or infinite value for ``count`` of ``total`` inputs.
+
+    ``first`` is the index of the first such input.
+    """
+
+    def __init__(self, count, total, first):
+        super().__init__(
+            f"model output is not finite for {count} of {total} input(s) (first: input {first})")
+        self.count = count
+        self.total = total
+        self.first = first
 
 
 class SamplerStarvationError(AespaceError):

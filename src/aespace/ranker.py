@@ -5,6 +5,12 @@ scale, ``embed`` takes the Euclidean norm of each embedding, its projection
 score, once for every caller. Any common rotation of the space leaves both
 distances and norms unchanged, so orderings survive re-orientation of the axes.
 
+A collection read a block at a time (``data_model.read_blocks``) goes
+through ``embed_blocks``: each block is embedded and reduced before the next
+is read, and the check that the model output is finite reports once, after
+the last block, with counts over the whole collection. ``rank_collection``
+keeps only ids and norms.
+
 Pairwise agreement and Kendall tau come from one exact sweep,
 ``_count_agreeing``, and match their all-pairs definitions bit for bit.
 """
@@ -12,6 +18,7 @@ Pairwise agreement and Kendall tau come from one exact sweep,
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +66,50 @@ def embed(params: encoder.EncoderParams, features) -> tuple[np.ndarray, np.ndarr
         norms = np.concatenate([projection_score(block) for block in row_blocks(np.atleast_2d(phi))])
     bad = ~np.isfinite(norms)
     if bad.any():
-        raise NonFiniteError(
-            f"model output is not finite for {int(bad.sum())} of {bad.size} input(s) "
-            f"(first: input {int(np.argmax(bad))})"
-        )
+        raise NonFiniteError(int(bad.sum()), bad.size, int(np.argmax(bad)))
     return phi, norms[0] if phi.ndim == 1 else norms
 
 
-def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tuple[str, float]]:
+def embed_blocks(score, params: encoder.EncoderParams,
+                 blocks: Iterable[Dataset]) -> Iterator[tuple[Dataset, object]]:
+    """``(block, score(params, block.features))`` for each ``Dataset`` block, in order.
+
+    ``score`` is ``embed`` or a function that calls it. A block whose model
+    output is not finite yields nothing and the blocks after it are still
+    read; after the last block, one ``NonFiniteError`` counts the non-finite
+    inputs of every block and names the first by its index in the whole
+    stream, so its text is that of one ``embed`` call over all the rows.
+
+    Raises:
+        InputError: A block's features are not the model's width, raised at
+            that block.
+        NonFiniteError: After the last block, as described above.
+    """
+    total = count = first = 0
+    for block in blocks:
+        try:
+            out = score(params, block.features)
+        except NonFiniteError as exc:
+            first = first if count else total + exc.first
+            count += exc.count
+        else:
+            yield block, out
+        total += len(block)
+    if count:
+        raise NonFiniteError(count, total, first)
+
+
+def rank_collection(params: encoder.EncoderParams,
+                    dataset: Dataset | Iterable[Dataset]) -> list[tuple[str, float]]:
     """Order a collection by descending projection score.
 
     Ties break by ascending id so the ordering is total and deterministic.
+
+    Args:
+        params: Trained encoder.
+        dataset: The collection, as one ``Dataset`` or as its blocks in file
+            order (``data_model.read_blocks``); only ids and norms are kept
+            from each block.
 
     Returns:
         (id, projection score) pairs, best first.
@@ -78,9 +118,13 @@ def rank_collection(params: encoder.EncoderParams, dataset: Dataset) -> list[tup
         InputError: The dataset's feature width is not the model's.
         NonFiniteError: The model output is NaN or infinite for some record.
     """
-    norms = embed(params, dataset.features)[1].tolist()
-    order = sorted(range(len(norms)), key=lambda i: (-norms[i], dataset.ids[i]))
-    return [(dataset.ids[i], norms[i]) for i in order]
+    ids, norms = [], []
+    for block, (_, block_norms) in embed_blocks(
+            embed, params, [dataset] if isinstance(dataset, Dataset) else dataset):
+        ids += block.ids
+        norms += block_norms.tolist()
+    order = sorted(range(len(norms)), key=lambda i: (-norms[i], ids[i]))
+    return [(ids[i], norms[i]) for i in order]
 
 
 def _count_agreeing(s, ranks: list[int], delta: float) -> tuple[int, int]:

@@ -1,25 +1,28 @@
 """Frame-sequence scoring, scalar Kalman smoothing, and peak extraction.
 
 Frames arrive as feature vectors in temporal order and are scored by the
-embedding norm. The raw score signal is smoothed by a causal scalar Kalman
-filter with a constant-position state model (the simplest model that
-smooths a scalar), then key frames are picked at the smoothed signal's
-peaks. No backward smoothing pass: each output depends only on frames seen
-so far, matching live processing. Peak picking compares each run of equal
-values with its neighbours, finds both prominence bases with one stack pass
-each way, and thins tallest first over a mask of blocked frames: O(n + k log k
-+ k * min_separation) for n frames and k candidates.
+embedding norm. ``load_frames`` yields them a ``data_model.read_blocks``
+block at a time, so scoring a video holds each frame's id and score, not
+its features or embedding. The raw score signal is smoothed by a causal
+scalar Kalman filter with a constant-position state model (the simplest
+model that smooths a scalar), then key frames are picked at the smoothed
+signal's peaks. No backward smoothing pass: each output depends only on
+frames seen so far, matching live processing. Peak picking compares each run
+of equal values with its neighbours, finds both prominence bases with one
+stack pass each way, and thins tallest first over a mask of blocked frames:
+O(n + k log k + k * min_separation) for n frames and k candidates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import encoder, ranker
-from .data_model import _read_columns
+from .data_model import Dataset, read_blocks
 from .errors import ConfigError, InputError
 
 
@@ -161,21 +164,20 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
     return sorted(kept)
 
 
-def load_frames(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Load frame records (metadata lines; views/faves optional) in file order.
+def load_frames(path: str | Path) -> Iterator[Dataset]:
+    """Frame records (metadata lines; views/faves optional) as ``data_model.read_blocks`` blocks.
 
-    The file is read in one pass, and the first bad line aborts the load:
-    a frame cannot be dropped without shifting the timeline.
-
-    Returns:
-        (ids, features) with features shaped (n_frames, d_in).
+    Each block holds the ids and features of up to ``ROW_BLOCK + 1`` frames,
+    in file order. The file is read one block at a time as the blocks are
+    consumed, and the first bad line aborts the read: a frame cannot be
+    dropped without shifting the timeline.
 
     Raises:
         ParseError: A line is structurally invalid, its feature length
             disagrees with the first line's, or it has a non-finite feature.
         InputError: The file holds no frames.
     """
-    ids, _, _, features, _ = _read_columns(path, frames=True)
-    if not ids:
-        raise InputError(f"no frames in {path}")
-    return ids, features
+    for block in read_blocks(path, frames=True):
+        if not len(block):  # only an empty file gives an empty block
+            raise InputError(f"no frames in {path}")
+        yield block

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aespace import cli, data_model, encoder, ranker, trainer
+from aespace import cli, data_model, encoder, ranker, trainer, video
 
 
 @pytest.fixture(autouse=True)
@@ -541,6 +542,163 @@ class TestRowBlocks:
     def test_video_raw_scores(self, workspace, tmp_path, collection):
         raw = [line.split(",")[1] for line in self.output(workspace, tmp_path, collection, "video")]
         assert raw == [repr(v) for v in ranker.projection_score(collection[2]).tolist()]
+
+
+B = data_model.ROW_BLOCK
+
+
+class TestStreamEdges:
+    """Each command that reads its input a block at a time writes, byte for byte, what
+    whole-matrix arithmetic gives, at every block edge. With B + 1 records, cutting
+    B rows and then 1 would send a lone row through BLAS's matrix-vector kernel."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 2, B - 1, B, B + 1, 2 * B + 1])
+    def case(self, request, workspace, tmp_path_factory):
+        path = tmp_path_factory.mktemp("edges") / "data.jsonl"
+        if request.param:
+            assert run("synth", "--n", request.param, "--din", "4", "--noise", "0.1",
+                       "--seed", "8", "--out", path) == 0
+        else:
+            path.write_text("")
+        return path, self.expected(workspace["model"], path)
+
+    @staticmethod
+    def expected(model, path):
+        """Each command's output lines, or its error text, from one pass over the whole matrix."""
+        dataset = data_model.load_dataset(path)
+        ids, n = dataset.ids, len(dataset)
+        phi = encoder._forward_pass(encoder.load(model), dataset.features)[-1] if n else np.empty((0, 4))
+        norms = ranker.projection_score(phi).tolist()
+        rank = sorted(range(n), key=lambda i: (-norms[i], ids[i]))
+        want = {
+            "score": ["id,score", *(f"{i},{s!r}" for i, s in zip(ids, dataset.scores().tolist()))],
+            "embed": ["id,phi0,phi1,phi2,phi3",
+                      *(",".join([i, *map(repr, row)]) for i, row in zip(ids, phi.tolist()))],
+            "rank": ["rank,id,score", *(f"{r},{ids[i]},{norms[i]!r}" for r, i in enumerate(rank, 1))],
+            "eval": f"aespace eval: error: need at least 2 records to evaluate, got {n}",
+            "video": f"aespace video: error: no frames in {path}",
+        }
+        if n >= 2:
+            rows = ranker.pairwise_agreement(norms, dataset.scores(), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+            want["eval"] = ["delta,pairs,agreement",
+                            *(f"{row.delta!r},{row.pairs},{row.agreement!r}" for row in rows)]
+        if n:
+            smoothed = video.kalman_smooth(norms)
+            peaks = set(video.detect_peaks(smoothed))
+            want["video"] = ["frame,raw_score,smoothed_score,is_peak", *(
+                f"{i},{r!r},{s!r},{int(k in peaks)}"
+                for k, (i, r, s) in enumerate(zip(ids, norms, smoothed)))]
+        return want
+
+    @pytest.mark.parametrize("command", ["score", "embed", "rank", "eval", "video"])
+    def test_matches_whole_matrix(self, workspace, tmp_path, capsys, case, command):
+        path, expected = case
+        out = tmp_path / "out.csv"
+        model = () if command == "score" else ("--model", workspace["model"])
+        input_flag = "--frames" if command == "video" else "--input"
+        code = run(command, *model, input_flag, path, "--out", out)
+        want = expected[command]
+        if isinstance(want, str):
+            assert (code, capsys.readouterr().err.splitlines()[-1]) == (1, want)
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert out.read_bytes() == "".join(line + "\n" for line in want).encode()
+
+
+class TestStreamMemory:
+    """``video`` keeps ids and norms and ``eval`` norms and scores, not features or embeddings."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stream") / "model.json"
+        encoder.save(encoder.init([16, 64, 32, 16], seed=7), path)
+        return path
+
+    @staticmethod
+    def traced_peak(*argv):
+        tracemalloc.start()
+        try:
+            code = run(*argv)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_video_holds_no_features_or_embeddings(self, tmp_path, model):
+        # 5.1 MB each of features and embeddings: a 14.4 MB peak while both were held
+        frames = tmp_path / "frames.jsonl"
+        rows = np.random.default_rng(60).normal(size=(40_000, 16)).tolist()
+        frames.write_text("".join(
+            json.dumps({"id": f"frame-{t:06d}", "features": row}) + "\n" for t, row in enumerate(rows)))
+        code, peak = self.traced_peak("video", "--model", model, "--frames", frames,
+                                      "--out", tmp_path / "v.csv")
+        assert code == 0
+        assert peak < 10e6
+
+    def test_eval_holds_no_features_or_embeddings(self, tmp_path, model):
+        # 6.4 MB each of features and embeddings: a 20.8 MB peak while both were held;
+        # one threshold keeps the agreement sweep, slow under tracing, to one pass
+        data = tmp_path / "data.jsonl"
+        assert run("synth", "--n", "50000", "--din", "16", "--seed", "7", "--out", data) == 0
+        code, peak = self.traced_peak("eval", "--model", model, "--input", data,
+                                      "--thresholds", "0.5", "--out", tmp_path / "a.csv")
+        assert code == 0
+        assert peak < 10e6
+
+
+class TestStreamErrors:
+    @pytest.fixture(scope="class")
+    def identity_model(self, tmp_path_factory):
+        params = encoder.init([4, 4], seed=0)
+        params.weights[0][...] = np.eye(4)
+        params.biases[0][...] = 0.0
+        path = tmp_path_factory.mktemp("identity") / "model.json"
+        encoder.save(params, path)
+        return path
+
+    @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])
+    def test_non_finite_rows_are_counted_over_the_whole_file(self, tmp_path, capsys,
+                                                              identity_model, command):
+        data = tmp_path / "data.jsonl"
+        assert run("synth", "--n", 2 * B + 1, "--din", "4", "--seed", "9", "--out", data) == 0
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        for i in (700, B + 500):  # one in each of the first two blocks; the norm overflows
+            records[i]["features"] = [1e200, 0.0, 0.0, 0.0]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out.csv"
+        input_flag = "--frames" if command == "video" else "--input"
+        assert run(command, "--model", identity_model, input_flag, data, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"aespace {command}: error: model output is not finite for 2 of {2 * B + 1} "
+            "input(s) (first: input 700)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.meta.json",
+                                                              "data.jsonl.sidecar.json"]
+
+    @pytest.mark.parametrize("command", ["embed", "video"])
+    def test_bad_line_after_the_first_block_leaves_no_output(self, workspace, tmp_path, capsys,
+                                                              command):
+        # embed has written the first block's rows to its temporary file by then
+        data = tmp_path / "data.jsonl"
+        assert run("synth", "--n", B + 100, "--din", "4", "--seed", "9", "--out", data) == 0
+        with data.open("a") as fh:
+            fh.write('{"id": \n')
+        out = tmp_path / "out.csv"
+        input_flag = "--frames" if command == "video" else "--input"
+        assert run(command, "--model", workspace["model"], input_flag, data, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(
+            f"aespace {command}: error: line {B + 101}: invalid JSON")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.meta.json",
+                                                              "data.jsonl.sidecar.json"]
+
+    def test_width_mismatch_is_reported_at_the_first_block(self, workspace, tmp_path, capsys):
+        # the whole file is no longer read first, so a later bad line does not win
+        data = tmp_path / "wide.jsonl"
+        assert run("synth", "--n", B + 100, "--din", "6", "--seed", "9", "--out", data) == 0
+        with data.open("a") as fh:
+            fh.write('{"id": \n')
+        assert run("rank", "--model", workspace["model"], "--input", data,
+                   "--out", tmp_path / "r.csv") == 1
+        assert "aespace rank: error: model expects 4 features, input has 6" in capsys.readouterr().err
 
 
 class TestBadArtifacts:

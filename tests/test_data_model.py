@@ -14,6 +14,7 @@ from aespace.data_model import (
     Dataset,
     compute_score,
     load_dataset,
+    read_blocks,
     save_dataset,
     score_histogram,
     write_csv,
@@ -216,11 +217,13 @@ class TestLoadSave:
         ('{"id": 7, "views": 100, "faves": 5, "features": [0.0]}', "missing or non-string 'id'"),
         ('{"id": "x", "views": 100, "faves": 5, "features": [0.0, "1"]}',
          "'features' entries must be numbers"),
+        ('{"id": "x", "views": 100, "faves": 5, "features": [0.0, true]}',
+         "'features' entries must be numbers"),
         ('{"id": "x", "views": 100, "faves": 5, "features": [0.0], "latent_score": "0.5"}',
          "'latent_score' must be a number"),
         ('{"id": "x", "views": 100, "faves": 5, "features": ' + "[" * 100_000,
          r"invalid JSON \(nested too deeply\)"),
-    ], ids=["not_object", "id", "feature", "latent_score", "nested"])
+    ], ids=["not_object", "id", "feature", "bool_feature", "latent_score", "nested"])
     def test_bad_structure_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "views": 100, "faves": 5, "features": [0.0]}\n' + line + "\n")
@@ -476,3 +479,43 @@ class TestWriteCsv:
         reader.join(timeout=10)
         assert got == ["a\n1\n"]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+class TestReadBlocks:
+    @pytest.mark.parametrize("n, sizes", [
+        (0, [0]), (1, [1]), (2, [2]), (ROW_BLOCK - 1, [ROW_BLOCK - 1]), (ROW_BLOCK, [ROW_BLOCK]),
+        (ROW_BLOCK + 1, [ROW_BLOCK + 1]), (ROW_BLOCK + 2, [ROW_BLOCK, 2]),
+        (2 * ROW_BLOCK + 1, [ROW_BLOCK, ROW_BLOCK + 1]),
+    ])
+    def test_blocks_are_the_file_in_order_with_no_lone_row(self, tmp_path, n, sizes):
+        # a lone last row would go through BLAS's matrix-vector kernel and change bits
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [{"id": f"r{i}", "views": 100, "faves": 1 + i % 100,
+                            "features": [i, 0.5], "latent_score": 0.5} for i in range(n)])
+        blocks = list(read_blocks(path))
+        assert [len(block) for block in blocks] == sizes
+        whole = load_dataset(path)
+        for column in ("ids", "views", "faves"):
+            assert [v for block in blocks for v in getattr(block, column)] == getattr(whole, column)
+        for column in ("features", "latent_scores"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(block, column) for block in blocks]), getattr(whole, column))
+
+    def test_frames_keep_ids_and_features_only(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"id": "f0", "features": [1.0, 2.0]}\n'
+                        '{"id": "f0", "views": 100, "faves": 5, "features": [3.0, 4.0]}\n')
+        [block] = read_blocks(path, frames=True)
+        assert (block.ids, block.views, block.faves, block.latent_scores.size) == (["f0", "f0"], [], [], 0)
+        np.testing.assert_array_equal(block.features, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_a_bad_line_is_raised_once_the_reading_reaches_it(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [{"id": f"r{i}", "views": 100, "faves": 5, "features": [1.0]}
+                           for i in range(ROW_BLOCK + 2)])
+        with path.open("a") as fh:
+            fh.write("[]\n")
+        blocks = read_blocks(path)
+        assert len(next(blocks)) == ROW_BLOCK
+        with pytest.raises(ParseError, match=f"^line {ROW_BLOCK + 3}: record is not a JSON object$"):
+            next(blocks)

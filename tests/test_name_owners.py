@@ -2,7 +2,9 @@
 
 The row-block rule (``np.array_split`` into ``ROW_BLOCK``-row blocks) lives in
 ``data_model.row_blocks``, and the projection score is taken only inside
-``ranker``, whose ``embed`` returns the norms to every caller. A name counts
+``ranker``, whose ``embed`` returns the norms to every caller. In ``cli``, only
+``train`` and ``sample`` load a whole dataset; every other command reads its
+input a block at a time. A name counts
 wherever it appears as an ``ast.Name``, an ``ast.Attribute`` or an imported
 name; ``__init__.py`` only re-exports the public API, so it is not counted.
 """
@@ -56,3 +58,14 @@ def test_projection_score_is_called_only_inside_embed():
         and inner.func.id == "projection_score"
     }
     assert callers == {"embed"}
+
+
+def test_only_train_and_sample_load_whole_datasets():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    elsewhere = {
+        name
+        for node in tree.body
+        if not (isinstance(node, ast.FunctionDef) and node.name in ("_cmd_train", "_cmd_sample"))
+        for name in _names(node)
+    }
+    assert "load_dataset" not in elsewhere

@@ -277,9 +277,9 @@ class TestFrameIO:
             '{"id": "f0", "features": [1.0, 2.0]}\n'
             '{"id": "f1", "views": 100, "faves": 5, "features": [3.0, 4.0]}\n'
         )
-        ids, features = load_frames(path)
-        assert ids == ["f0", "f1"]
-        np.testing.assert_array_equal(features, [[1.0, 2.0], [3.0, 4.0]])
+        [frames] = load_frames(path)
+        assert frames.ids == ["f0", "f1"]
+        np.testing.assert_array_equal(frames.features, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_load_frames_inconsistent_length(self, tmp_path):
         path = tmp_path / "f.jsonl"
@@ -287,13 +287,13 @@ class TestFrameIO:
             '{"id": "f0", "features": [1.0, 2.0]}\n{"id": "f1", "features": [1.0]}\n'
         )
         with pytest.raises(ParseError):
-            load_frames(path)
+            list(load_frames(path))
 
     def test_load_frames_bad_json(self, tmp_path):
         path = tmp_path / "f.jsonl"
         path.write_text('{"id": \n')
         with pytest.raises(ParseError):
-            load_frames(path)
+            list(load_frames(path))
 
     def test_first_bad_line_wins(self, tmp_path):
         path = tmp_path / "f.jsonl"
@@ -301,7 +301,7 @@ class TestFrameIO:
             '{"id": "f0", "features": [1.0]}\n{"id": "f1", "features": [NaN]}\n{"id": \n'
         )
         with pytest.raises(ParseError, match="^line 2: non-finite feature entry$"):
-            load_frames(path)
+            list(load_frames(path))
 
     def test_write_frame_csv(self, tmp_path):
         frames = tmp_path / "f.jsonl"
