@@ -4,8 +4,18 @@ Hidden layers apply an affine map followed by a rectifier max(0, x); the
 final layer is a plain affine projection. All arithmetic is float64.
 Weights initialize from a zero-mean normal with std sqrt(2 / fan_in),
 biases from zero. The rectifier derivative at exactly 0 is taken as 0.
-A bias gradient is summed over the batch by BLAS, in BLAS's order, so it
-may differ from a plain running sum in the last bits.
+A bias gradient is summed over the batch row by row, in row order.
+
+A training step backpropagates only the rows with a nonzero gradient (see
+``loss.batch_loss``). Adding a zero row changes no sum, so each gradient
+has the bits of a pass over the whole batch, with these measured limits:
+from 163 triplets a step (489 rows) OpenBLAS splits the weight products
+over the batch, so the weight gradients differ from a whole-batch pass in
+the last bits (identical at batch 128, not at 256, with 1 and with 2
+threads); a layer one unit wide makes its weight product a matrix-vector
+product and its bias sum pairwise, which also moves bits; and a single
+live row would go through the matrix-vector kernel, but the loss never
+leaves one, since an anchor and its negative are live together.
 
 ``EncoderParams`` owns one flat buffer holding every weight, then every
 bias; its per-layer arrays are views into it, so one array operation
@@ -15,7 +25,8 @@ of the same size. This module alone decides that layout.
 Inference (``forward``) writes each ``data_model.row_blocks`` block's
 embeddings into one preallocated output, so at most one block's hidden
 activations are alive at a time. Training calls ``_forward_pass`` on the whole
-batch, because ``_backward_pass`` needs every layer's activations for every row.
+batch, because ``_backward_pass`` needs every layer's activations for each row
+it takes back.
 """
 
 from __future__ import annotations
@@ -122,13 +133,13 @@ def _backward_pass(params, h, grad, grads_out: EncoderParams) -> np.ndarray:
     iff its post-activation is positive, which is the same mask as z > 0.
     Returns the gradient wrt the first layer's pre-activation; the input
     gradient, one product with the first weight matrix away, is not formed.
-    Each bias gradient, the batch sum of its delta, is one product with ones.
+    Each bias gradient, the batch sum of its delta, is added up row by row,
+    so a row whose delta is zero leaves it unchanged.
     """
     delta = grad
-    ones = np.ones(len(grad))
     for k in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, h[k], out=grads_out.weights[k])
-        np.matmul(ones, delta, out=grads_out.biases[k])
+        np.add.reduce(delta, axis=0, out=grads_out.biases[k])
         if k > 0:
             delta = delta @ params.weights[k]
             delta *= h[k] > 0.0

@@ -17,6 +17,11 @@ it rewards growing |a| without limit), so it is for comparison runs only.
 
 Subgradient conventions: a hinge at its kink contributes 0, and the
 gradient of |x| at x = 0 is the zero vector.
+
+A satisfied triplet contributes exactly nothing, so ``batch_loss`` returns
+the gradient only of the rows a hinge moves, with their indices (``rows``);
+a training step backpropagates those rows alone. Each returned gradient has
+the bits it would have in the full (3B, d) layout.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .errors import ConfigError, InputError
 
 
 _TRIPLET_GRAD_SCALE = np.array([2.0, -2.0, 2.0])[:, None, None]
+# the directional term adds sign * a/|a| to the anchor and subtracts sign * n/|n| from the negative
+_UNIT_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -63,16 +70,25 @@ class TripletLossResult:
 
 
 def batch_loss(emb, s_a, s_n, config: LossConfig):
-    """Per-triplet losses and exact gradients for a batch of B triplets.
+    """Per-triplet losses, and the gradient of every row it moves, for a batch of B triplets.
 
     ``emb`` stacks the embeddings as one (3B, d) array: rows [0, B) are the
     anchors, [B, 2B) the positives and [2B, 3B) the negatives, so row i of
     each block is one triplet. ``s_a`` and ``s_n`` hold the B anchor and
     negative scores.
 
+    A hinge that is not active contributes exactly nothing, so most rows of
+    a batch have a zero gradient. ``rows`` names, in ascending order, the
+    rows whose gradient is formed: the anchor and negative of every triplet
+    with either hinge active, and the positive of every triplet with the
+    triplet hinge active. Every other row's gradient is exactly zero. A
+    unit vector is formed only for a triplet whose directional hinge is
+    active.
+
     Returns:
-        (l_e, l_d, grad): the two loss terms per triplet (length B) and the
-        gradient wrt ``emb`` in the same stacked layout.
+        (l_e, l_d, rows, grad): the two loss terms per triplet (length B),
+        the indices into ``emb`` of the live rows, and their gradients, one
+        row of ``grad`` per entry of ``rows``.
 
     Raises:
         InputError: ``emb`` is not 2-D with three rows per score.
@@ -82,38 +98,43 @@ def batch_loss(emb, s_a, s_n, config: LossConfig):
         raise InputError(f"stacked embeddings {emb.shape} do not hold 3 x {b} rows")
     emb3 = emb.reshape(3, b, emb.shape[1])
     ea, ep, en = emb3
-    grad = np.empty_like(emb)
-    g3 = grad.reshape(emb3.shape)
-    g_a, g_p, g_n = g3
-    np.subtract(en, ep, out=g_a)
-    np.subtract(ea, ep, out=g_p)
-    np.subtract(ea, en, out=g_n)
+    g3 = np.empty_like(emb3)
+    np.subtract(en, ep, out=g3[0])
+    np.subtract(ea, ep, out=g3[1])
+    np.subtract(ea, en, out=g3[2])
     sq_ap, sq_an = np.add.reduce(g3[1:] * g3[1:], 2)
     e_arg = config.margin_m + sq_ap - sq_an
     l_e = np.maximum(e_arg, 0.0)
+    live_e = e_arg > 0.0
     # rows 2(n - p), -2(a - p) and 2(a - n) while the hinge is active, else zero
     g3 *= _TRIPLET_GRAD_SCALE
-    g3[:, ~(e_arg > 0.0)] = 0.0
+    g3[:, ~live_e] = 0.0
 
-    if not config.directional_enabled:
-        return l_e, np.zeros_like(l_e), grad
-    sign = np.sign(s_n - s_a)
-    ends = emb3[::2]
-    norm_a, norm_n = norms = np.sqrt(np.add.reduce(ends * ends, 2))
-    if config.literal_sign_form:
-        arg = norm_a - norm_n + config.margin_md
-        l_d = sign * np.maximum(arg, 0.0)
+    if config.directional_enabled:
+        sign = np.sign(s_n - s_a)
+        ends = emb3[::2]
+        norm_a, norm_n = norms = np.sqrt(np.add.reduce(ends * ends, 2))
+        if config.literal_sign_form:
+            arg = norm_a - norm_n + config.margin_md
+            l_d = sign * np.maximum(arg, 0.0)
+        else:
+            arg = config.margin_md + sign * (norm_a - norm_n)
+            l_d = np.maximum(arg, 0.0)
+        tie = sign == 0.0
+        l_d[tie] = 0.0
+        live_d = ~tie & (arg > 0.0)
+        # d|x|/dx = x/|x|, zero vector at the origin, formed only where the hinge is active
+        at = np.flatnonzero(live_d)
+        ends, norms = ends[:, at], norms[:, at, None]
+        units = np.divide(ends, norms, out=np.zeros_like(ends), where=norms > 0)
+        units *= sign[at, None] * _UNIT_SIGNS
+        g3[::2, at] += units
+        live_ends = live_e | live_d
     else:
-        arg = config.margin_md + sign * (norm_a - norm_n)
-        l_d = np.maximum(arg, 0.0)
-    tie = sign == 0.0
-    l_d[tie] = 0.0
-    # d|x|/dx = x/|x|, zero vector at the origin
-    units = np.divide(ends, norms[..., None], out=np.zeros_like(ends), where=norms[..., None] > 0)
-    units *= (sign * (~tie & (arg > 0.0)))[:, None]
-    g_a += units[0]
-    g_n -= units[1]
-    return l_e, l_d, grad
+        l_d = np.zeros_like(l_e)
+        live_ends = live_e
+    rows = np.flatnonzero(np.concatenate((live_ends, live_e, live_ends)))
+    return l_e, l_d, rows, g3.reshape(emb.shape).take(rows, 0)
 
 
 def directional_triplet_loss(
@@ -124,7 +145,9 @@ def directional_triplet_loss(
     if len(dims) != 1:
         raise InputError(f"embedding shapes differ: {sorted(dims)}")
     emb = np.array([phi_a, phi_p, phi_n], dtype=np.float64).reshape(3, -1)
-    l_e, l_d, grad = batch_loss(emb, np.array([score_a]), np.array([score_n]), config)
+    l_e, l_d, rows, live = batch_loss(emb, np.array([score_a]), np.array([score_n]), config)
+    grad = np.zeros_like(emb)
+    grad[rows] = live
     return TripletLossResult(
         l_e=float(l_e[0]),
         l_d=float(l_d[0]),

@@ -9,7 +9,8 @@ A collection read a block at a time (``data_model.read_blocks``) goes
 through ``embed_blocks``: each block is embedded and reduced before the next
 is read, and the check that the model output is finite reports once, after
 the last block, with counts over the whole collection. ``rank_collection``
-keeps only ids and norms.
+keeps only the ids and one float64 array of norms, which a stable argsort
+orders; only runs of equal norms are sorted again, by id, in Python.
 
 Pairwise agreement and Kendall tau come from one exact sweep,
 ``_count_agreeing``, and match their all-pairs definitions bit for bit.
@@ -118,13 +119,20 @@ def rank_collection(params: encoder.EncoderParams,
         InputError: The dataset's feature width is not the model's.
         NonFiniteError: The model output is NaN or infinite for some record.
     """
-    ids, norms = [], []
+    ids, norms = [], [np.empty(0)]
     for block, (_, block_norms) in embed_blocks(
             embed, params, [dataset] if isinstance(dataset, Dataset) else dataset):
         ids += block.ids
-        norms += block_norms.tolist()
-    order = sorted(range(len(norms)), key=lambda i: (-norms[i], ids[i]))
-    return [(ids[i], norms[i]) for i in order]
+        norms.append(block_norms)
+    norms = np.concatenate(norms)
+    # a stable sort keeps equal norms in file order; each run of them is then put in id order
+    order = np.argsort(-norms, kind="stable")
+    norms = norms[order]
+    edges = np.concatenate(([0], np.flatnonzero(norms[1:] != norms[:-1]) + 1, [len(norms)]))
+    for run in np.flatnonzero(np.diff(edges) > 1).tolist():
+        start, stop = edges[run], edges[run + 1]
+        order[start:stop] = sorted(order[start:stop].tolist(), key=ids.__getitem__)
+    return list(zip(map(ids.__getitem__, order), norms.tolist()))
 
 
 def _count_agreeing(s, ranks: list[int], delta: float) -> tuple[int, int]:

@@ -119,14 +119,15 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
 
             # a, p and n rows embedded together: one forward and one backward pass per step
             h = encoder._forward_pass(params, features[idx.ravel()])
-            le, ld, grad = batch_loss(h[-1], scores[idx[0]], scores[idx[2]], config.loss)
+            le, ld, rows, grad = batch_loss(h[-1], scores[idx[0]], scores[idx[2]], config.loss)
             sum_le = float(np.add.reduce(le))
             sum_ld = float(np.add.reduce(ld))
             mean_total = float(np.add.reduce(le + ld)) / batch_size
             if not np.isfinite(mean_total):
                 raise DivergenceError(step, lr)
 
-            encoder._backward_pass(params, h, grad, grads)
+            # a row the hinges leave alone has a zero gradient: only the live rows go back
+            encoder._backward_pass(params, [hk.take(rows, 0) for hk in h[:-1]], grad, grads)
             np.multiply(grad_flat, inv_b, out=grad_flat)
             if not np.isfinite(grad_flat).all():
                 raise DivergenceError(step, lr)

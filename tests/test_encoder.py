@@ -189,6 +189,29 @@ class TestBackward:
             np.testing.assert_allclose(batch_grads.biases[k], acc_b[k], atol=1e-12)
 
 
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_zero_rows_left_out_change_no_bit(self, batch):
+        # a training step backpropagates only the rows with a nonzero gradient;
+        # dropping the zero rows must leave every weight and bias gradient as it
+        # was. As in the loss, a triplet has no live row, its anchor and negative,
+        # or all three, so a step never has exactly one (one row is a
+        # matrix-vector product, which BLAS sums in another order).
+        rng = np.random.default_rng(batch)
+        params = encoder.init([16, 64, 32, 16], seed=batch)
+        for _ in range(20):
+            h = encoder._forward_pass(params, rng.normal(size=(3 * batch, 16)))
+            kind = rng.choice(3, size=batch, p=[0.8, 0.05, 0.15])
+            live = np.concatenate((kind > 0, kind == 2, kind > 0))
+            rows = np.flatnonzero(live)
+            grad = rng.normal(size=(3 * batch, 16))
+            grad[~live] = 0.0
+            full = encoder.EncoderParams(params.layer_dims, np.empty_like(params.flat))
+            part = encoder.EncoderParams(params.layer_dims, np.empty_like(params.flat))
+            encoder._backward_pass(params, h, grad, full)
+            encoder._backward_pass(params, [hk[rows] for hk in h[:-1]], grad[rows], part)
+            np.testing.assert_array_equal(part.flat, full.flat)
+
+
 class TestCompositionGradient:
     def test_loss_through_encoder_finite_differences(self):
         # central differences on every parameter of a small net under the

@@ -7,6 +7,7 @@ from scipy.stats import ortho_group
 
 from aespace.errors import InputError
 from aespace.loss import LossConfig, batch_loss, directional_triplet_loss
+from test_trainer import reference_batch_loss
 
 
 def oracle_loss(phi_a, phi_p, phi_n, s_a, s_n, config):
@@ -301,13 +302,21 @@ def triplet_batches(draw):
     return ea, ep, en, draw(scores), draw(scores), config
 
 
+def scattered(emb, rows, grad):
+    """The live rows' gradients in the full stacked layout, zero elsewhere."""
+    full = np.zeros_like(emb)
+    full[rows] = grad
+    return full
+
+
 class TestBatchedLoss:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(triplet_batches())
     def test_matches_oracle_row_by_row(self, batch):
         ea, ep, en, s_a, s_n, config = batch
-        le, ld, grad = batch_loss(np.concatenate((ea, ep, en)), s_a, s_n, config)
-        g_a, g_p, g_n = np.split(grad, 3)
+        emb = np.concatenate((ea, ep, en))
+        le, ld, rows, grad = batch_loss(emb, s_a, s_n, config)
+        g_a, g_p, g_n = np.split(scattered(emb, rows, grad), 3)
         for i in range(len(ea)):
             ref = oracle_loss(ea[i], ep[i], en[i], s_a[i], s_n[i], config)
             assert le[i] == pytest.approx(ref[0], rel=1e-12, abs=1e-15)
@@ -325,5 +334,70 @@ class TestBatchedLoss:
         cfg = LossConfig(directional_enabled=False)
         ea, ep, en = rng.normal(size=(3, 10, 4))
         emb = np.concatenate((ea, ep, en))
-        _, ld, _ = batch_loss(emb, rng.uniform(size=10), rng.uniform(size=10), cfg)
+        _, ld, _, _ = batch_loss(emb, rng.uniform(size=10), rng.uniform(size=10), cfg)
         np.testing.assert_array_equal(ld, np.zeros(10))
+
+
+def assert_live_rows_exact(ea, ep, en, s_a, s_n, config):
+    """``batch_loss`` against the trainer tests' reference, bit for bit; returns ``rows``."""
+    emb = np.concatenate((ea, ep, en))
+    le, ld, rows, grad = batch_loss(emb, s_a, s_n, config)
+    ref_le, ref_ld, *ref_grads = reference_batch_loss(ea, ep, en, s_a, s_n, config)
+    ref = np.concatenate(ref_grads)
+    np.testing.assert_array_equal(le, ref_le)
+    np.testing.assert_array_equal(ld, ref_ld)
+    assert grad.shape == (len(rows), emb.shape[1])
+    assert np.all(np.diff(rows) > 0) and np.all((0 <= rows) & (rows < len(emb)))
+    np.testing.assert_array_equal(scattered(emb, rows, grad), ref)
+    left_out = np.ones(len(emb), bool)
+    left_out[rows] = False
+    assert not ref[left_out].any()
+    return rows
+
+
+class TestLiveRows:
+    """``rows`` and ``grad`` scatter to the full-batch gradient exactly."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(triplet_batches())
+    def test_scatter_matches_reference_bit_for_bit(self, batch):
+        assert_live_rows_exact(*batch)
+
+    @pytest.mark.parametrize("config", [
+        LossConfig(), LossConfig(directional_enabled=False), LossConfig(literal_sign_form=True),
+    ], ids=["hinge", "no_directional", "literal_sign"])
+    def test_random_batches(self, config):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            ea, ep, en = rng.normal(size=(3, 64, 16))
+            ea[rng.random(64) < 0.1] = 0.0
+            s_a, s_n = rng.choice([0.2, 0.4, 0.6], size=(2, 64))
+            rows = assert_live_rows_exact(ea, ep, en, s_a, s_n, config)
+            assert 0 < len(rows) < 192
+
+    def test_score_ties_leave_only_the_triplet_hinge(self):
+        rng = np.random.default_rng(33)
+        ea, ep, en = rng.normal(size=(3, 20, 4))
+        s = rng.uniform(size=20)
+        rows = assert_live_rows_exact(ea, ep, en, s, s.copy(), LossConfig())
+        _, _, tied_rows, _ = batch_loss(np.concatenate((ea, ep, en)), s, s.copy(),
+                                        LossConfig(directional_enabled=False))
+        np.testing.assert_array_equal(rows, tied_rows)
+
+    def test_zero_norm_anchor_is_live_with_a_zero_unit(self):
+        # only the directional hinge is active, with |a| = 0: the anchor row is
+        # live, but its unit vector is the zero vector, and so is its gradient
+        ea = ep = np.zeros((1, 3))
+        en = np.array([[0.0, 0.0, 1.0]])
+        emb = np.concatenate((ea, ep, en))
+        rows = assert_live_rows_exact(ea, ep, en, np.array([0.9]), np.array([0.1]), LossConfig())
+        np.testing.assert_array_equal(rows, [0, 2])
+        _, _, _, grad = batch_loss(emb, np.array([0.9]), np.array([0.1]), LossConfig())
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_no_active_hinge_gives_no_rows(self):
+        ea = ep = np.ones((4, 4))
+        en = np.full((4, 4), 5.0)
+        for config in (LossConfig(), LossConfig(literal_sign_form=True)):
+            rows = assert_live_rows_exact(ea, ep, en, np.full(4, 0.2), np.full(4, 0.8), config)
+            assert rows.size == 0

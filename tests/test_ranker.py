@@ -209,6 +209,43 @@ class TestRankCollection:
         assert rotated == base
 
 
+    @pytest.mark.parametrize("blocks", [1, 7])
+    def test_order_with_many_ties_matches_key_sort(self, blocks):
+        # 3,000 records over 9 distinct norms: long runs of ties, in file order
+        # unlike id order, with one run split across blocks
+        rng = np.random.default_rng(44)
+        base = np.array([[0, 0], [1, 0], [0, -1], [0.6, 0.8], [2, 0], [0, 2],
+                         [3, 4], [-4, 3], [1e-300, 0], [0.1, 0.2], [0.2, 0.1], [0.5, 0.5]])
+        n = 3000
+        features = base[rng.integers(0, len(base), size=n)]
+        ids = [f"id{i:05d}" for i in rng.permutation(n)]
+        ds = make_dataset(features, ids=ids)
+        cuts = np.linspace(0, n, blocks + 1).astype(int).tolist()
+        parts = [Dataset(ds.ids[a:b], ds.views[a:b], ds.faves[a:b], ds.features[a:b],
+                         ds.latent_scores[a:b]) for a, b in zip(cuts, cuts[1:])]
+        norms = projection_score(features).tolist()
+        want = sorted(zip(ids, norms), key=lambda pair: (-pair[1], pair[0]))
+        got = rank_collection(identity_params(2), parts if blocks > 1 else ds)
+        assert got == want
+        assert all(type(norm) is float for _, norm in got)
+
+    def test_memory_beyond_the_result(self):
+        # ranking by a (-norm, id) key tuple per record held 111 bytes a record
+        # beyond the returned list at its peak
+        n = 50_000
+        rng = np.random.default_rng(45)
+        ds = make_dataset(rng.integers(0, 50, size=(n, 2)) / 7.0,
+                          ids=[f"img-{i:07d}" for i in rng.permutation(n)])
+        tracemalloc.start()
+        try:
+            ranked = rank_collection(identity_params(2), ds)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == n
+        assert peak - held < 80 * n
+
+
 class TestPairwiseAgreement:
     def test_perfect_agreement(self):
         rng = np.random.default_rng(43)

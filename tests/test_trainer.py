@@ -320,22 +320,44 @@ class TestWindowEdges:
 
 class TestSinglePassStep:
     def test_one_forward_and_one_backward_per_step(self, monkeypatch):
-        calls = []
+        # the backward pass gets exactly the rows whose reference gradient is
+        # nonzero, with those gradients
+        calls, batches = [], []
         real_forward, real_backward = encoder._forward_pass, encoder._backward_pass
+        real_collect = TripletSampler.collect_indices
+
+        def collect_indices(self, k):
+            batches.append(real_collect(self, k))
+            return batches[-1]
 
         def forward_pass(params, x):
-            calls.append(("forward", len(x)))
-            return real_forward(params, x)
+            h = real_forward(params, x)
+            calls.append(("forward", x.copy(), h[-1].copy()))
+            return h
 
         def backward_pass(params, h, grad, grads_out):
-            calls.append(("backward", len(h[0]), len(grad)))
+            calls.append(("backward", h[0].copy(), grad.copy()))
             return real_backward(params, h, grad, grads_out)
 
+        monkeypatch.setattr(TripletSampler, "collect_indices", collect_indices)
         monkeypatch.setattr(encoder, "_forward_pass", forward_pass)
         monkeypatch.setattr(encoder, "_backward_pass", backward_pass)
-        _, log = train(small_dataset(), TrainConfig(max_steps=7, batch_size=5, seed=3))
+        ds = small_dataset()
+        config = TrainConfig(max_steps=7, batch_size=5, seed=3)
+        _, log = train(ds, config)
         assert log.windows[-1].step == 7
-        assert calls == [("forward", 15), ("backward", 15, 15)] * 7
+        assert [call[0] for call in calls] == ["forward", "backward"] * 7
+        scores = ds.scores()
+        live_counts = []
+        for idx, (_, x, emb), (_, back_x, back_grad) in zip(batches, calls[::2], calls[1::2]):
+            assert len(x) == 15
+            ref = np.concatenate(reference_batch_loss(
+                *np.split(emb, 3), scores[idx[0]], scores[idx[2]], config.loss)[2:])
+            nonzero = np.flatnonzero(ref.any(axis=1))
+            np.testing.assert_array_equal(back_x, x[nonzero])
+            np.testing.assert_array_equal(back_grad, ref[nonzero])
+            live_counts.append(len(nonzero))
+        assert min(live_counts) < 15
 
 
 class TestSchedule:
