@@ -8,14 +8,8 @@ A bias gradient is summed over the batch row by row, in row order.
 
 A training step backpropagates only the rows with a nonzero gradient (see
 ``loss.batch_loss``). Adding a zero row changes no sum, so each gradient
-has the bits of a pass over the whole batch, with these measured limits:
-from 163 triplets a step (489 rows) OpenBLAS splits the weight products
-over the batch, so the weight gradients differ from a whole-batch pass in
-the last bits (identical at batch 128, not at 256, with 1 and with 2
-threads); a layer one unit wide makes its weight product a matrix-vector
-product and its bias sum pairwise, which also moves bits; and a single
-live row would go through the matrix-vector kernel, but the loss never
-leaves one, since an anchor and its negative are live together.
+has the bits of a pass over the whole batch, within the measured limits
+the README gives.
 
 ``EncoderParams`` owns one flat buffer holding every weight, then every
 bias; its per-layer arrays are views into it, so one array operation

@@ -34,9 +34,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 
-_TRIPLET_GRAD_SCALE = np.array([2.0, -2.0, 2.0])[:, None, None]
 # the directional term adds sign * a/|a| to the anchor and subtracts sign * n/|n| from the negative
-_UNIT_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_UNIT_SIGNS = np.array([1.0, -1.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ def batch_loss(emb, s_a, s_n, config: LossConfig):
     a batch have a zero gradient. ``rows`` names, in ascending order, the
     rows whose gradient is formed: the anchor and negative of every triplet
     with either hinge active, and the positive of every triplet with the
-    triplet hinge active. Every other row's gradient is exactly zero. A
-    unit vector is formed only for a triplet whose directional hinge is
-    active.
+    triplet hinge active. Every other row's gradient is exactly zero. The
+    directional term is formed for the whole batch and is a zero vector
+    where its hinge is inactive, so adding it changes no value there.
 
     Returns:
         (l_e, l_d, rows, grad): the two loss terms per triplet (length B),
@@ -96,24 +95,24 @@ def batch_loss(emb, s_a, s_n, config: LossConfig):
     b = len(s_a)
     if emb.ndim != 2 or emb.shape[0] != 3 * b:
         raise InputError(f"stacked embeddings {emb.shape} do not hold 3 x {b} rows")
-    emb3 = emb.reshape(3, b, emb.shape[1])
-    ea, ep, en = emb3
-    g3 = np.empty_like(emb3)
-    np.subtract(en, ep, out=g3[0])
-    np.subtract(ea, ep, out=g3[1])
-    np.subtract(ea, en, out=g3[2])
-    sq_ap, sq_an = np.add.reduce(g3[1:] * g3[1:], 2)
-    e_arg = config.margin_m + sq_ap - sq_an
+    d = emb.shape[1]
+    emb3 = emb.reshape(3, b, d)
+    # n - p, p - a and a - n, then a copy of a and n: one squaring and one sum for all four norms
+    w = np.empty((5, b, d))
+    np.subtract(emb3[2], emb3[1], out=w[0])
+    np.subtract(emb3[1::-1], emb3[::2], out=w[1:3])
+    w[3:] = emb3[::2]
+    sq = np.add.reduce(np.square(w[1:]), 2)
+    e_arg = config.margin_m + sq[0] - sq[1]
     l_e = np.maximum(e_arg, 0.0)
     live_e = e_arg > 0.0
-    # rows 2(n - p), -2(a - p) and 2(a - n) while the hinge is active, else zero
-    g3 *= _TRIPLET_GRAD_SCALE
-    g3[:, ~live_e] = 0.0
+    # rows 2(n - p), 2(p - a) and 2(a - n) while the hinge is active, else zero
+    g3 = w[:3]
+    g3 *= 2.0 * live_e[:, None]
 
     if config.directional_enabled:
         sign = np.sign(s_n - s_a)
-        ends = emb3[::2]
-        norm_a, norm_n = norms = np.sqrt(np.add.reduce(ends * ends, 2))
+        norm_a, norm_n = norms = np.sqrt(sq[2:])
         if config.literal_sign_form:
             arg = norm_a - norm_n + config.margin_md
             l_d = sign * np.maximum(arg, 0.0)
@@ -123,12 +122,12 @@ def batch_loss(emb, s_a, s_n, config: LossConfig):
         tie = sign == 0.0
         l_d[tie] = 0.0
         live_d = ~tie & (arg > 0.0)
-        # d|x|/dx = x/|x|, zero vector at the origin, formed only where the hinge is active
-        at = np.flatnonzero(live_d)
-        ends, norms = ends[:, at], norms[:, at, None]
-        units = np.divide(ends, norms, out=np.zeros_like(ends), where=norms > 0)
-        units *= sign[at, None] * _UNIT_SIGNS
-        g3[::2, at] += units
+        # d|x|/dx = x/|x|, the zero vector at the origin: x / (|x| * sign) is the signed
+        # unit vector, and x / inf is zero where |x| = 0 or the hinge is inactive
+        den = np.where(live_d & (norms > 0.0), norms * (sign * _UNIT_SIGNS), np.inf)
+        units = w[3:]
+        units /= den[:, :, None]
+        g3[::2] += units
         live_ends = live_e | live_d
     else:
         l_d = np.zeros_like(l_e)

@@ -20,7 +20,8 @@ call hands out slices of one table per chunk: its acceptances, the running
 count of distinct proposals through each (the tail rejected before the
 chunk carried in), and the first that follows ``max_proposals`` or more
 rejections in a row. The proposal stream is a pure function of the seed,
-independent of how many triplets each call requests.
+independent of how many triplets each call requests: ``trainer.train``
+draws a window's triplets in one call, with the stats of one call a step.
 """
 
 from __future__ import annotations
@@ -127,21 +128,22 @@ class TripletSampler:
                 proposals went by without an acceptance, wherever the run
                 falls; a sampler that starved raises it again on every later call.
         """
-        parts = [np.empty((3, 0), dtype=np.int64)]
+        # one output filled in place, so each chunk's table is freed at its refill
+        out = np.empty((3, max(k, 0)), dtype=np.int64)
         while k > 0:
-            first = self._next
+            first, done = self._next, out.shape[1] - k
             stop = min(first + k, self._open)
             if stop > first:
                 self.stats.proposed += int(self._through[stop] - self._through[first])
                 self.stats.accepted += stop - first
-                parts.append(self._accepted[:, first:stop])
+                out[:, done:done + stop - first] = self._accepted[:, first:stop]
                 self._next, k = stop, k - (stop - first)
             elif self._run < self.config.max_proposals:  # a tail within budget: draw on
                 self._refill()
             else:
                 self.stats.proposed += self._run
                 raise SamplerStarvationError(self._run, self.stats.acceptance_rate)
-        return np.concatenate(parts, axis=1)
+        return out
 
 
 def estimate_cardinality(n_images: int, stats: SamplerStats) -> float:

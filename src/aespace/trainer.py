@@ -1,9 +1,9 @@
 """SGD training of the encoder on streamed triplets.
 
-Each step draws a fresh batch of accepted triplets, averages the combined
-loss gradient over the batch (mean, not sum, so loss magnitudes compare
-across batch sizes), and applies a plain gradient-descent update. Steps run
-in windows of ``PLATEAU_WINDOW``; each window logs its mean losses. The
+Steps run in windows of ``PLATEAU_WINDOW``, each drawing its triplets in one
+sampler call; a step takes the next batch, averages the loss gradient over it
+(mean, not sum, so loss magnitudes compare across batch sizes) and applies a
+plain gradient-descent update. Each window logs its mean losses. The
 learning rate starts at ``lr_init`` and is divided by ``LR_DECAY_FACTOR``
 once ``PLATEAU_PATIENCE`` full windows in a row fail to beat the best mean
 loss by ``PLATEAU_MIN_REL_IMPROVEMENT``; training stops early once the rate
@@ -89,7 +89,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     Raises:
         InputError: The dataset holds fewer than 3 records, which the sampler
             checks before anything else is built (a config is valid once built).
-        SamplerStarvationError: ``max_proposals`` distinct proposals in a row were rejected.
+        SamplerStarvationError: ``max_proposals`` distinct proposals in a row were rejected
+            (raised before the first step of the window that needed them).
         DivergenceError: A non-finite loss or gradient appeared.
     """
     init_seed, sampler_seed = derive_seeds(config.seed)
@@ -103,6 +104,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
     flat, grad_flat = params.flat, grads.flat
     batch_size = config.batch_size
     inv_b = 1.0 / batch_size
+    sums = np.empty((3, batch_size))  # a step's l_e, l_d and their sum, reduced in one call
 
     log = TrainLog()
     lr = config.lr_init
@@ -113,17 +115,20 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[encoder.EncoderParams,
         last = min(step + PLATEAU_WINDOW, config.max_steps)
         steps = last - step
         proposed, accepted = samp.stats.proposed, samp.stats.accepted
+        block = samp.collect_indices(steps * batch_size)  # the window's triplets in one draw
         win_total = win_le = win_ld = 0.0
-        for step in range(step + 1, last + 1):
-            idx = samp.collect_indices(batch_size)
+        for first in range(0, steps * batch_size, batch_size):
+            step += 1
+            idx = block[:, first:first + batch_size]
 
             # a, p and n rows embedded together: one forward and one backward pass per step
-            h = encoder._forward_pass(params, features[idx.ravel()])
+            h = encoder._forward_pass(params, features.take(idx.ravel(), 0))
             le, ld, rows, grad = batch_loss(h[-1], scores[idx[0]], scores[idx[2]], config.loss)
-            sum_le = float(np.add.reduce(le))
-            sum_ld = float(np.add.reduce(ld))
-            mean_total = float(np.add.reduce(le + ld)) / batch_size
-            if not np.isfinite(mean_total):
+            sums[0], sums[1] = le, ld
+            np.add(le, ld, out=sums[2])
+            sum_le, sum_ld, sum_total = np.add.reduce(sums, 1).tolist()
+            mean_total = sum_total / batch_size
+            if not math.isfinite(mean_total):
                 raise DivergenceError(step, lr)
 
             # a row the hinges leave alone has a zero gradient: only the live rows go back

@@ -4,7 +4,8 @@ The row-block rule (``np.array_split`` into ``ROW_BLOCK``-row blocks) lives in
 ``data_model.row_blocks``, and the projection score is taken only inside
 ``ranker``, whose ``embed`` returns the norms to every caller. In ``cli``, only
 ``train`` and ``sample`` load a whole dataset; every other command reads its
-input a block at a time. A name counts
+input a block at a time. ``trainer.train`` draws its triplets once per window,
+outside the step loop. A name counts
 wherever it appears as an ``ast.Name``, an ``ast.Attribute`` or an imported
 name; ``__init__.py`` only re-exports the public API, so it is not counted.
 """
@@ -69,3 +70,16 @@ def test_only_train_and_sample_load_whole_datasets():
         for name in _names(node)
     }
     assert "load_dataset" not in elsewhere
+
+
+def test_train_draws_triplets_outside_its_step_loop():
+    tree = ast.parse((SRC / "trainer.py").read_text(encoding="utf-8"))
+    train = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "train")
+
+    def draws(node):
+        return [inner for inner in ast.walk(node)
+                if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "collect_indices"]
+
+    assert len(draws(train)) == 1
+    assert not [call for loop in ast.walk(train) if isinstance(loop, ast.For) for call in draws(loop)]

@@ -253,7 +253,9 @@ class TestFusedStep:
         (TrainConfig(max_steps=300, seed=5, sampler=SamplerConfig(pair_ref="anchor")), SHORT),
         (TrainConfig(max_steps=300, seed=6, batch_size=1), SHORT),
         (TrainConfig(max_steps=300, seed=7, batch_size=5, hidden_dims=(7,), embed_dim=3), SHORT),
-    ], ids=["default", "no_directional", "literal_sign", "anchor_ref", "batch1", "batch5"])
+        (TrainConfig(max_steps=150, seed=8, batch_size=128), SHORT),
+    ], ids=["default", "no_directional", "literal_sign", "anchor_ref", "batch1", "batch5",
+            "batch128"])
     def test_bit_identical_to_unfused_step(self, monkeypatch, config, schedule):
         set_schedule(monkeypatch, **schedule)
         ds = generate(SynthConfig(n=200, d_in=8, noise_sigma=0.05, seed=11))
@@ -317,18 +319,36 @@ class TestWindowEdges:
             reference_train(self.DS, config)
         assert str(got.value) == str(want.value)
 
+    def test_starving_window_runs_no_step(self, monkeypatch):
+        # the window's triplets are drawn before its first step, so the window
+        # that starves at step 61 raises before step 51 makes a forward pass
+        set_schedule(monkeypatch, **SHORT)
+        forwards = []
+        real_forward = encoder._forward_pass
+
+        def forward_pass(params, x):
+            forwards.append(len(x))
+            return real_forward(params, x)
+
+        monkeypatch.setattr(encoder, "_forward_pass", forward_pass)
+        config = TrainConfig(max_steps=100, seed=1, sampler=SamplerConfig(max_proposals=32))
+        with pytest.raises(SamplerStarvationError):
+            train(self.DS, config)
+        assert len(forwards) == 50
+
 
 class TestSinglePassStep:
     def test_one_forward_and_one_backward_per_step(self, monkeypatch):
+        # one draw for the window's 7 x 5 triplets, cut into the step batches;
         # the backward pass gets exactly the rows whose reference gradient is
         # nonzero, with those gradients
-        calls, batches = [], []
+        calls, draws = [], []
         real_forward, real_backward = encoder._forward_pass, encoder._backward_pass
         real_collect = TripletSampler.collect_indices
 
         def collect_indices(self, k):
-            batches.append(real_collect(self, k))
-            return batches[-1]
+            draws.append(real_collect(self, k))
+            return draws[-1]
 
         def forward_pass(params, x):
             h = real_forward(params, x)
@@ -347,10 +367,12 @@ class TestSinglePassStep:
         _, log = train(ds, config)
         assert log.windows[-1].step == 7
         assert [call[0] for call in calls] == ["forward", "backward"] * 7
+        assert [draw.shape for draw in draws] == [(3, 35)]
+        batches = np.split(draws[0], 7, axis=1)
         scores = ds.scores()
         live_counts = []
         for idx, (_, x, emb), (_, back_x, back_grad) in zip(batches, calls[::2], calls[1::2]):
-            assert len(x) == 15
+            np.testing.assert_array_equal(x, ds.features[idx.ravel()])
             ref = np.concatenate(reference_batch_loss(
                 *np.split(emb, 3), scores[idx[0]], scores[idx[2]], config.loss)[2:])
             nonzero = np.flatnonzero(ref.any(axis=1))
