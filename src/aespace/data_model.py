@@ -27,13 +27,22 @@ block of features and embeddings at a time, plus what it keeps per record.
 ``sample``), appends the blocks' features to one flat float64 buffer, which
 becomes the feature matrix without a copy.
 
+A file written by ``save_dataset`` has a binary twin, ``<path>.twin``, when
+the reader would keep every record, every count fits in int64 and the output
+is a regular file. The twin holds the sha256 of the text's bytes and of its
+own payload. ``read_blocks`` reads the twin instead of parsing the text only
+when both digests match, and the blocks are then the ones the parse gives,
+bit for bit; any other twin (missing, short, unreadable, of another version,
+or not matching) is ignored. Only this module knows the twin's layout.
+
 Matrices are cut into blocks of rows by one rule, ``row_blocks``:
 ``encoder.forward`` embeds, ``ranker.embed`` takes norms of, and
-``block_rows`` converts to Python floats (for ``save_dataset``) one block at
-a time. Neither rule leaves a block of one row when n >= 2.
+``save_dataset`` converts to Python floats one block at a time. Neither rule
+leaves a block of one row when n >= 2.
 
-Every CSV output of the package is written by ``write_csv``, and every
-output file through ``open_atomic``, so a failed run leaves no partial file.
+Every CSV output of the package is written by ``write_csv``, every text
+output file through ``open_atomic``, and a twin through a temporary file and
+a rename too, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ import json
 import logging
 import math
 import os
+import struct
+import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -60,6 +71,15 @@ _NUMBER_TYPES = frozenset((int, float))
 
 # the most rows in a ``row_blocks`` block, and the rows of each ``read_blocks`` block but the last
 ROW_BLOCK = 1024
+
+# the twin of a ``save_dataset`` output: ``<path>.twin``
+TWIN_SUFFIX = ".twin"
+# magic (its last letter the byte order of the numbers), version, sha256 of the text, sha256 of the payload
+_TWIN_HEAD = struct.Struct("=8sI32s32s")
+_TWIN_MAGIC = b"AESTWIN" + sys.byteorder[:1].encode()
+_TWIN_VERSION = 1
+# the payload is one chunk per block, each headed by its records, feature width and id text bytes
+_TWIN_CHUNK = struct.Struct("=qqq")
 
 
 @dataclass(eq=False)
@@ -141,26 +161,61 @@ def _take(columns: tuple, k: int, width: int) -> Dataset:
     return block
 
 
-def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
-    """Read a metadata file in one pass, yielding its kept records as ``Dataset`` blocks.
+def _check_record(obj, line_number: int, width: int, frames: bool, seen_ids: set) -> float:
+    """The reader's checks of one parsed line, in its order.
 
-    A line gets the structural checks, the width check against the first
-    record and a finiteness test of its features. A dataset record then runs
-    ``load_dataset``'s field checks and is kept, or logged and skipped. With
-    ``frames=True`` the views/faves keys may be absent, only ids and features
-    are kept (views, faves and latent scores are empty), and a non-finite
-    frame aborts the read.
-
-    Blocks hold ``ROW_BLOCK`` records in file order, the last one the 0 to
-    ``ROW_BLOCK + 1`` left over: two records are held back until more follow,
-    so that, as with ``row_blocks``, no block has one row when n >= 2. An
-    empty file gives one empty block.
-
-    Raises:
-        ParseError: As ``load_dataset`` and ``video.load_frames`` describe,
-            once the reading reaches the bad line.
+    The structural checks come first, then the width check against
+    ``width``, the first record's feature length (0 before it), and a
+    finiteness test of the features; a dataset record then runs
+    ``load_dataset``'s field checks. Raises ``ParseError`` for a line that
+    stops the read and ``RecordError`` for a record the reader skips. A kept
+    dataset record's id joins ``seen_ids``, and its latent score is
+    returned as a float, NaN when it has none.
     """
-    columns = ids, views, faves, latents, values = [], [], [], [], array("d")
+    if not isinstance(obj, dict):
+        raise ParseError(line_number, "record is not a JSON object")
+    rec_id = obj.get("id")
+    if not isinstance(rec_id, str):
+        raise ParseError(line_number, "missing or non-string 'id'")
+    features = obj.get("features")
+    if not isinstance(features, list) or not features:
+        raise ParseError(line_number, "missing or empty 'features' array")
+    if not are_numbers(features):
+        raise ParseError(line_number, "'features' entries must be numbers")
+    latent = obj.get("latent_score")
+    if latent is not None and type(latent) not in _NUMBER_TYPES:
+        raise ParseError(line_number, "'latent_score' must be a number")
+    views, faves = obj.get("views"), obj.get("faves")
+    if type(views) is not int and not (frames and views is None):
+        raise ParseError(line_number, "missing or non-integer 'views'")
+    if type(faves) is not int and not (frames and faves is None):
+        raise ParseError(line_number, "missing or non-integer 'faves'")
+    if width and len(features) != width:
+        raise ParseError(line_number, f"feature length {len(features)} != {width} established earlier")
+    try:
+        finite = all(map(math.isfinite, features))
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if frames:
+        if not finite:
+            raise ParseError(line_number, "non-finite feature entry")
+        return math.nan
+    compute_score(views, faves)
+    if not finite:
+        raise RecordError("features", "non-finite feature entry")
+    if latent is not None:
+        latent = _to_float(latent)
+        if not 0.0 <= latent <= 1.0:
+            raise RecordError("latent_score", f"latent_score {latent} outside [0, 1]")
+    if rec_id in seen_ids:
+        raise RecordError("id", f"duplicate id {rec_id!r}")
+    seen_ids.add(rec_id)
+    return math.nan if latent is None else latent
+
+
+def _parsed_rows(path: str | Path, columns: tuple, frames: bool) -> Iterator[int]:
+    """Parse a metadata file into the reader's columns, yielding the feature width after each line."""
+    ids, views, faves, latents, values = columns
     seen_ids, width, rejected = set(), 0, 0
     with Path(path).open("rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
@@ -176,59 +231,109 @@ def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
                 raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
                 raise ParseError(line_number, "invalid JSON (nested too deeply)") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(line_number, "record is not a JSON object")
-
-            rec_id = obj.get("id")
-            if not isinstance(rec_id, str):
-                raise ParseError(line_number, "missing or non-string 'id'")
-            features = obj.get("features")
-            if not isinstance(features, list) or not features:
-                raise ParseError(line_number, "missing or empty 'features' array")
-            if not are_numbers(features):
-                raise ParseError(line_number, "'features' entries must be numbers")
-            latent = obj.get("latent_score")
-            if latent is not None and type(latent) not in _NUMBER_TYPES:
-                raise ParseError(line_number, "'latent_score' must be a number")
-            for key in ("views", "faves"):
-                if type(obj.get(key)) is not int and not (frames and obj.get(key) is None):
-                    raise ParseError(line_number, f"missing or non-integer '{key}'")
-            if not width:
-                width = len(features)
-            elif len(features) != width:
-                raise ParseError(
-                    line_number, f"feature length {len(features)} != {width} established earlier")
             try:
-                finite = all(map(math.isfinite, features))
-            except OverflowError:  # an integer beyond float range
-                finite = False
-            if frames and not finite:
-                raise ParseError(line_number, "non-finite feature entry")
-            if not frames:
-                latent = None if latent is None else _to_float(latent)
-                try:
-                    compute_score(obj["views"], obj["faves"])
-                    if not finite:
-                        raise RecordError("features", "non-finite feature entry")
-                    if latent is not None and not 0.0 <= latent <= 1.0:
-                        raise RecordError("latent_score", f"latent_score {latent} outside [0, 1]")
-                    if rec_id in seen_ids:
-                        raise RecordError("id", f"duplicate id {rec_id!r}")
-                except RecordError as exc:
-                    logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
-                    rejected += 1
-                    continue
-                seen_ids.add(rec_id)
-                views.append(obj["views"])
-                faves.append(obj["faves"])
-                latents.append(math.nan if latent is None else latent)
-            ids.append(rec_id)
-            values.fromlist(features)
-            if len(ids) == ROW_BLOCK + 2:
-                yield _take(columns, ROW_BLOCK, width)
-
+                latent = _check_record(obj, line_number, width, frames, seen_ids)
+            except RecordError as exc:
+                logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
+                rejected += 1
+            else:
+                if not frames:
+                    views.append(obj["views"])
+                    faves.append(obj["faves"])
+                    latents.append(latent)
+                ids.append(obj["id"])
+                values.fromlist(obj["features"])
+            if not width:
+                width = len(obj["features"])
+            yield width
     if rejected:
         logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
+
+
+def _sha256():
+    """A new sha256 hash. hashlib loads OpenSSL, so only a twin's reader and writer import it."""
+    import hashlib
+
+    return hashlib.sha256()
+
+
+def _file_digest(fh) -> bytes:
+    """The sha256 of the rest of an open binary file."""
+    digest = _sha256()
+    while data := fh.read(1 << 18):
+        digest.update(data)
+    return digest.digest()
+
+
+def _open_twin(path: str | Path):
+    """The twin of ``path``, open at its payload, if it is whole and was made from the bytes of ``path``.
+
+    A missing, short, unreadable or other-version twin, or a digest that
+    does not match, gives None.
+    """
+    try:
+        fh = open(f"{path}{TWIN_SUFFIX}", "rb")
+    except OSError:
+        return None
+    try:
+        head = fh.read(_TWIN_HEAD.size)
+        if len(head) == _TWIN_HEAD.size and os.path.isfile(path):  # a pipe cannot be read twice
+            magic, version, text_digest, payload_digest = _TWIN_HEAD.unpack(head)
+            if (magic, version) == (_TWIN_MAGIC, _TWIN_VERSION) and _file_digest(fh) == payload_digest:
+                with open(path, "rb") as text:
+                    if _file_digest(text) == text_digest:
+                        fh.seek(_TWIN_HEAD.size)
+                        return fh
+    except OSError:
+        pass
+    fh.close()
+    return None
+
+
+def _twin_rows(fh, columns: tuple, frames: bool) -> Iterator[int]:
+    """Read a verified twin's chunks into the reader's columns, yielding the feature width after each."""
+    ids, views, faves, latents, values = columns
+    with fh:
+        while head := fh.read(_TWIN_CHUNK.size):
+            k, width, text_bytes = _TWIN_CHUNK.unpack(head)
+            chunk = memoryview(fh.read(8 * k * (4 + width) + text_bytes))
+            ends, chunk_views, chunk_faves = np.frombuffer(chunk, np.int64, 3 * k).reshape(3, k).tolist()
+            text = str(chunk[8 * k * (4 + width):], "utf-8", "surrogatepass")
+            ids += [text[start:end] for start, end in zip([0, *ends], ends)]
+            if not frames:
+                views += chunk_views
+                faves += chunk_faves
+                latents.frombytes(chunk[24 * k:32 * k])
+            values.frombytes(chunk[32 * k:8 * k * (4 + width)])
+            yield width
+
+
+def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
+    """Read a metadata file in one pass, yielding its kept records as ``Dataset`` blocks.
+
+    A line gets the structural checks, the width check against the first
+    record and a finiteness test of its features. A dataset record then runs
+    ``load_dataset``'s field checks and is kept, or logged and skipped. With
+    ``frames=True`` the views/faves keys may be absent, only ids and features
+    are kept (views, faves and latent scores are empty), and a non-finite
+    frame aborts the read. A file whose twin matches it (see ``save_dataset``)
+    is read from the twin instead, with the same blocks as a parse gives.
+
+    Blocks hold ``ROW_BLOCK`` records in file order, the last one the 0 to
+    ``ROW_BLOCK + 1`` left over: two records are held back until more follow,
+    so that, as with ``row_blocks``, no block has one row when n >= 2. An
+    empty file gives one empty block.
+
+    Raises:
+        ParseError: As ``load_dataset`` and ``video.load_frames`` describe,
+            once the reading reaches the bad line.
+    """
+    columns = ids, _, _, _, _ = [], [], [], array("d"), array("d")
+    twin, width = _open_twin(path), 0
+    rows = _parsed_rows(path, columns, frames) if twin is None else _twin_rows(twin, columns, frames)
+    for width in rows:
+        while len(ids) >= ROW_BLOCK + 2:
+            yield _take(columns, ROW_BLOCK, width)
     yield _take(columns, len(ids), width)
 
 
@@ -260,6 +365,11 @@ def load_dataset(path: str | Path) -> Dataset:
                    np.frombuffer(latents))
 
 
+def _temporary(path: Path) -> Path:
+    """The temporary file a write to ``path`` goes to before its rename: hidden, in the same directory."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def open_atomic(path: str | Path, newline: str = "\n"):
     """Open ``path`` for writing UTF-8 text that appears there only when complete.
@@ -277,7 +387,7 @@ def open_atomic(path: str | Path, newline: str = "\n"):
             yield fh
         return
     path = path.resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temporary(path)
     try:
         with tmp.open("w", encoding="utf-8", newline=newline) as fh:
             yield fh
@@ -297,33 +407,92 @@ def row_blocks(matrix: np.ndarray) -> list[np.ndarray]:
     return np.array_split(matrix, max(1, -(-len(matrix) // ROW_BLOCK)))
 
 
-def block_rows(matrix: np.ndarray):
-    """Each row of a 2-D array as a list of Python floats, converted a ``row_blocks`` block at a time.
-
-    Only one block's lists are alive at once, not the whole matrix's.
-    """
-    for block in row_blocks(matrix):
-        yield from block.tolist()
+def _shared_hashes(ids: list) -> set:
+    """The hashes that two or more string ids share; an id with any other hash occurs once."""
+    hashes = np.fromiter((hash(rec_id) for rec_id in ids if isinstance(rec_id, str)), np.int64)
+    hashes.sort()
+    return set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
 
 
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset in the one-record-per-line metadata format.
+def _twin_chunk(ids: list, views: list, faves: list, latents: array, block: np.ndarray) -> list | None:
+    """One block's twin chunk as the buffers to write in order; None when a count overflows int64."""
+    try:
+        ints = np.array([np.cumsum([len(rec_id) for rec_id in ids]), views, faves], np.int64)
+    except OverflowError:
+        return None
+    text = "".join(ids).encode("utf-8", "surrogatepass")
+    return [_TWIN_CHUNK.pack(len(ids), block.shape[1], len(text)), ints, latents,
+            np.ascontiguousarray(block, np.float64), text]
+
+
+def save_dataset(dataset: Dataset, path: str | Path) -> str | None:
+    """Write a dataset in the one-record-per-line metadata format, and its twin when it can have one.
 
     Floats are serialized with the shortest representation that parses back
     to the identical value (at most 17 significant digits), so a
     load/save/load cycle is exact. Feature rows become Python lists one
-    block at a time (``block_rows``), so the write holds one block of them
+    ``row_blocks`` block at a time, so the write holds one block of them
     besides the dataset, not a list copy of the whole matrix.
+
+    The twin, ``<path>.twin``, holds the records as ``read_blocks`` keeps
+    them, in binary, with the sha256 of the text and of its own payload. It
+    is written a block at a time beside the text, through a temporary file
+    and a rename, when the dataset is not empty, the output is a regular
+    file, every record passes the reader's checks (``_check_record``) and
+    every count fits in int64. Otherwise any twin at that path is removed.
+    Returns the twin's path, or None when none was written.
     """
-    with open_atomic(path) as fh:
-        for rec_id, views, faves, features, latent in zip(
-            dataset.ids, dataset.views, dataset.faves,
-            block_rows(dataset.features), dataset.latent_scores.tolist(),
-        ):
-            obj = {"id": rec_id, "views": int(views), "faves": int(faves), "features": features}
-            if not math.isnan(latent):
-                obj["latent_score"] = latent
-            fh.write(json.dumps(obj) + "\n")
+    twin_path = Path(f"{path}{TWIN_SUFFIX}")
+    tmp = _temporary(twin_path)
+    twin_ok = len(dataset) > 0 and (os.path.isfile(path) or not os.path.exists(path))
+    width, shared, seen_ids = dataset.features.shape[1], set(), set()
+    if twin_ok:
+        shared, text_digest, payload_digest = _shared_hashes(dataset.ids), _sha256(), _sha256()
+    try:
+        with open_atomic(path) as fh, (tmp.open("wb") if twin_ok else contextlib.nullcontext()) as twin:
+            if twin_ok:
+                twin.write(bytes(_TWIN_HEAD.size))  # the digests are known only at the end
+            start = 0
+            for block in row_blocks(dataset.features):
+                stop = start + len(block)
+                ids = dataset.ids[start:stop]
+                views = [int(v) for v in dataset.views[start:stop]]
+                faves = [int(f) for f in dataset.faves[start:stop]]
+                latents = array("d")
+                for line_number, (rec_id, v, f, features, latent) in enumerate(zip(
+                        ids, views, faves, block.tolist(), dataset.latent_scores[start:stop].tolist()),
+                        start=start + 1):
+                    obj = {"id": rec_id, "views": v, "faves": f, "features": features}
+                    if not math.isnan(latent):
+                        obj["latent_score"] = latent
+                    line = json.dumps(obj) + "\n"
+                    fh.write(line)
+                    if twin_ok:
+                        try:
+                            latents.append(_check_record(obj, line_number, width, False, seen_ids))
+                        except (ParseError, RecordError):
+                            twin_ok = False
+                        text_digest.update(line.encode())
+                # an id no other id shares a hash with cannot come again
+                seen_ids = {rec_id for rec_id in seen_ids if hash(rec_id) in shared}
+                chunk = _twin_chunk(ids, views, faves, latents, block) if twin_ok else None
+                twin_ok = chunk is not None
+                for part in chunk or ():
+                    twin.write(part)
+                    payload_digest.update(part)
+                start = stop
+            if twin_ok:
+                twin.seek(0)
+                twin.write(_TWIN_HEAD.pack(_TWIN_MAGIC, _TWIN_VERSION, text_digest.digest(),
+                                           payload_digest.digest()))
+        if twin_ok:
+            os.replace(tmp, twin_path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    if not twin_ok:
+        twin_path.unlink(missing_ok=True)
+        return None
+    return str(twin_path)
 
 
 def score_histogram(dataset: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -96,13 +96,16 @@ def generate(config: SynthConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
     mix = _draw_mixing_matrix(rng, config.d_in)
     lo, hi = config.view_range
+    log_lo, log_hi = math.log(lo), math.log(hi)
 
     view_counts, fave_counts = [], []
     features = np.empty((config.n, config.d_in))
     latent = np.empty(config.n)
     for k in range(config.n):
-        s = float(rng.uniform(0.0, 1.0))
-        views = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+        # rng.uniform(a, b) is a + (b - a) * rng.random(), the same draw and
+        # bits; random() skips uniform's argument handling
+        s = rng.random()
+        views = int(round(math.exp(log_lo + (log_hi - log_lo) * rng.random())))
         views = min(max(views, lo), hi)
         # noise is drawn even at sigma 0 so the per-row draw sequence,
         # and hence (s, V, F), is identical across noise levels for a seed

@@ -635,11 +635,15 @@ class TestStreamMemory:
         assert code == 0
         assert peak < 10e6
 
-    def test_eval_holds_no_features_or_embeddings(self, tmp_path, model):
+    @pytest.mark.parametrize("twin", ["present", "deleted"])
+    def test_eval_holds_no_features_or_embeddings(self, tmp_path, model, twin):
         # 6.4 MB each of features and embeddings: a 20.8 MB peak while both were held;
-        # one threshold keeps the agreement sweep, slow under tracing, to one pass
+        # one threshold keeps the agreement sweep, slow under tracing, to one pass.
+        # Without its twin the file is parsed, so both reading paths are bounded.
         data = tmp_path / "data.jsonl"
         assert run("synth", "--n", "50000", "--din", "16", "--seed", "7", "--out", data) == 0
+        if twin == "deleted":
+            os.unlink(f"{data}{data_model.TWIN_SUFFIX}")
         code, peak = self.traced_peak("eval", "--model", model, "--input", data,
                                       "--thresholds", "0.5", "--out", tmp_path / "a.csv")
         assert code == 0
@@ -672,7 +676,8 @@ class TestStreamErrors:
             f"aespace {command}: error: model output is not finite for 2 of {2 * B + 1} "
             "input(s) (first: input 700)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.meta.json",
-                                                              "data.jsonl.sidecar.json"]
+                                                              "data.jsonl.sidecar.json",
+                                                              "data.jsonl.twin"]
 
     @pytest.mark.parametrize("command", ["embed", "video"])
     def test_bad_line_after_the_first_block_leaves_no_output(self, workspace, tmp_path, capsys,
@@ -688,7 +693,8 @@ class TestStreamErrors:
         assert capsys.readouterr().err.startswith(
             f"aespace {command}: error: line {B + 101}: invalid JSON")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.meta.json",
-                                                              "data.jsonl.sidecar.json"]
+                                                              "data.jsonl.sidecar.json",
+                                                              "data.jsonl.twin"]
 
     def test_width_mismatch_is_reported_at_the_first_block(self, workspace, tmp_path, capsys):
         # the whole file is no longer read first, so a later bad line does not win
@@ -904,4 +910,5 @@ class TestSidecar:
         assert code == 0
         assert received == [regular.read_text()]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "d.jsonl", "regular.jsonl", "regular.jsonl.meta.json", "regular.jsonl.sidecar.json"]
+            "d.jsonl", "regular.jsonl", "regular.jsonl.meta.json", "regular.jsonl.sidecar.json",
+            "regular.jsonl.twin"]

@@ -1,6 +1,7 @@
-"""Seeded mutations of dataset, frame and model files never crash ``cli.main``.
+"""Seeded mutations of dataset, twin, frame and model files never crash ``cli.main``.
 
-Each case mutates one input file of one command with byte flips, cuts,
+Each case mutates one input file of one command (a dataset's binary twin
+counts as one of its inputs) with byte flips, cuts,
 splices, inserted tokens (``1e999``, ``NaN``, a ``\\xff`` byte, brackets,
 30-digit integers) and numbers swapped for extreme ones, runs the command,
 and asserts that no exception escaped ``main`` and that the exit code is 0,
@@ -13,7 +14,7 @@ import re
 
 import pytest
 
-from aespace import cli
+from aespace import cli, data_model
 
 CASES_PER_COMMAND = 50
 TOKENS = [b"1e999", b"-1e999", b"NaN", b"\xff", b"[", b"]", b"{", b"}", b"[[", b"]]",
@@ -22,6 +23,8 @@ TOKENS = [b"1e999", b"-1e999", b"NaN", b"\xff", b"[", b"]", b"{", b"}", b"[[", b
 NUMBERS = [b"1e308", b"-1e308", b"1e999", b"NaN", b"0", b"-0.0", b"5e-324", b"1e-320",
            b"123456789012345678901234567890", b"true", b"null", b"\"1\""]
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+# a twin is found beside its dataset by name
+FILES = {"data": "data.jsonl", "twin": f"data.jsonl{data_model.TWIN_SUFFIX}"}
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
@@ -48,7 +51,7 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """A small dataset, frames without views and faves, and a model trained on the dataset."""
+    """A small dataset and its twin, frames without views and faves, and a model trained on the dataset."""
     root = tmp_path_factory.mktemp("mutations")
     data, model = root / "data.jsonl", root / "model.json"
     assert cli.main(["synth", "--n", "12", "--din", "3", "--seed", "4", "--out", str(data)]) == 0
@@ -57,7 +60,8 @@ def originals(tmp_path_factory):
                      "--model-out", str(model), "--log-out", str(root / "log.csv")]) == 0
     frames = b"".join(
         b'{"id": "f%d", "features": [%d.5, -0.25, 0.125]}\n' % (i, i % 3) for i in range(20))
-    return {"data": data.read_bytes(), "model": model.read_bytes(), "frames": frames}
+    return {"data": data.read_bytes(), "twin": (root / FILES["twin"]).read_bytes(),
+            "model": model.read_bytes(), "frames": frames}
 
 
 def _argv(command, paths, out):
@@ -76,9 +80,9 @@ def _argv(command, paths, out):
 
 
 # the files each command reads, any of which a case may mutate
-INPUTS = {"score": ("data",), "sample": ("data",), "train": ("data",),
-          "embed": ("data", "model"), "rank": ("data", "model"), "eval": ("data", "model"),
-          "video": ("frames", "model")}
+INPUTS = {"score": ("data", "twin"), "sample": ("data", "twin"), "train": ("data", "twin"),
+          "embed": ("data", "twin", "model"), "rank": ("data", "twin", "model"),
+          "eval": ("data", "twin", "model"), "video": ("frames", "model")}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -88,7 +92,7 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys, originals, command):
         rng = random.Random(f"{command}-{case}")
         paths = {}
         for name in INPUTS[command]:
-            path = tmp_path / f"{case}-{name}"
+            path = tmp_path / f"{case}-{FILES.get(name, name)}"
             path.write_bytes(originals[name])
             paths[name] = str(path)
         name = rng.choice(INPUTS[command])

@@ -72,6 +72,29 @@ class TestGenerate:
         save_dataset(ds, tmp_path / "d.jsonl")
         assert load_dataset(tmp_path / "d.jsonl").ids == ds.ids
 
+    @pytest.mark.parametrize("view_range", [(100, 100_000), (100, 10**300), (1000, 1001)])
+    def test_draws_are_those_of_rng_uniform(self, view_range):
+        # generate() draws uniforms as a + (b - a) * rng.random(); the records must be the
+        # ones rng.uniform(a, b) gives, bit for bit
+        config = SynthConfig(n=400, d_in=4, noise_sigma=0.1, seed=11, view_range=view_range)
+        rng = np.random.default_rng(config.seed)
+        mix = rng.normal(size=(config.d_in, BASIS_SIZE))
+        mix /= np.linalg.norm(mix, axis=1, keepdims=True)
+        lo, hi = view_range
+        views, faves, latent, features = [], [], [], []
+        for _ in range(config.n):
+            s = float(rng.uniform(0.0, 1.0))
+            v = min(max(int(round(math.exp(rng.uniform(math.log(lo), math.log(hi))))), lo), hi)
+            noise = rng.normal(0.0, 1.0, size=config.d_in)
+            views.append(v)
+            faves.append(max(1, int(round(v**s))))
+            latent.append(s)
+            features.append(mix @ basis(s) + config.noise_sigma * noise)
+        ds = generate(config)
+        assert (ds.views, ds.faves) == (views, faves)
+        assert ds.latent_scores.tobytes() == np.array(latent).tobytes()
+        assert ds.features.tobytes() == np.array(features).tobytes()
+
     def test_ids_unique(self):
         ds = generate(SynthConfig(n=50, d_in=3, seed=2))
         assert len(set(ds.ids)) == 50
