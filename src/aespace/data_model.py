@@ -28,10 +28,11 @@ block of features and embeddings at a time, plus what it keeps per record.
 becomes the feature matrix without a copy.
 
 A file written by ``save_dataset`` has a binary twin, ``<path>.twin``, when
-the reader would keep every record, every count fits in int64 and the output
-is a regular file. The twin holds the sha256 of the text's bytes and of its
-own payload. ``read_blocks`` reads the twin instead of parsing the text only
-when both digests match, and the blocks are then the ones the parse gives,
+the reader would keep every record, every count fits in int64, no id holds a
+surrogate code point and the output is a regular file. The twin holds the
+BLAKE2b-256 digests of the text's bytes and of its own payload.
+``read_blocks`` reads the twin instead of parsing the text only when both
+digests match, and the blocks are then the ones the parse gives,
 bit for bit; any other twin (missing, short, unreadable, of another version,
 or not matching) is ignored. Only this module knows the twin's layout.
 
@@ -74,10 +75,10 @@ ROW_BLOCK = 1024
 
 # the twin of a ``save_dataset`` output: ``<path>.twin``
 TWIN_SUFFIX = ".twin"
-# magic (its last letter the byte order of the numbers), version, sha256 of the text, sha256 of the payload
+# magic (its last letter the byte order of the numbers), version, digest of the text, digest of the payload
 _TWIN_HEAD = struct.Struct("=8sI32s32s")
 _TWIN_MAGIC = b"AESTWIN" + sys.byteorder[:1].encode()
-_TWIN_VERSION = 1
+_TWIN_VERSION = 2
 # the payload is one chunk per block, each headed by its records, feature width and id text bytes
 _TWIN_CHUNK = struct.Struct("=qqq")
 
@@ -250,16 +251,18 @@ def _parsed_rows(path: str | Path, columns: tuple, frames: bool) -> Iterator[int
         logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
 
 
-def _sha256():
-    """A new sha256 hash. hashlib loads OpenSSL, so only a twin's reader and writer import it."""
-    import hashlib
-
-    return hashlib.sha256()
+def _digest():
+    """A new BLAKE2b-256 hash, from CPython's own BLAKE2; importing ``hashlib`` would load OpenSSL."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # an interpreter without CPython's module
+        from hashlib import blake2b
+    return blake2b(digest_size=32)
 
 
 def _file_digest(fh) -> bytes:
-    """The sha256 of the rest of an open binary file."""
-    digest = _sha256()
+    """The digest of the rest of an open binary file."""
+    digest = _digest()
     while data := fh.read(1 << 18):
         digest.update(data)
     return digest.digest()
@@ -298,7 +301,7 @@ def _twin_rows(fh, columns: tuple, frames: bool) -> Iterator[int]:
             k, width, text_bytes = _TWIN_CHUNK.unpack(head)
             chunk = memoryview(fh.read(8 * k * (4 + width) + text_bytes))
             ends, chunk_views, chunk_faves = np.frombuffer(chunk, np.int64, 3 * k).reshape(3, k).tolist()
-            text = str(chunk[8 * k * (4 + width):], "utf-8", "surrogatepass")
+            text = str(chunk[8 * k * (4 + width):], "utf-8")
             ids += [text[start:end] for start, end in zip([0, *ends], ends)]
             if not frames:
                 views += chunk_views
@@ -415,12 +418,18 @@ def _shared_hashes(ids: list) -> set:
 
 
 def _twin_chunk(ids: list, views: list, faves: list, latents: array, block: np.ndarray) -> list | None:
-    """One block's twin chunk as the buffers to write in order; None when a count overflows int64."""
+    """One block's twin chunk as the buffers to write in order.
+
+    None when a count overflows int64, or when an id holds a surrogate code
+    point: the text escapes each one alone, and a parse joins an escaped
+    high and low surrogate into one character, so such an id may not come
+    back as it was.
+    """
     try:
         ints = np.array([np.cumsum([len(rec_id) for rec_id in ids]), views, faves], np.int64)
-    except OverflowError:
+        text = "".join(ids).encode("utf-8")
+    except (OverflowError, UnicodeEncodeError):
         return None
-    text = "".join(ids).encode("utf-8", "surrogatepass")
     return [_TWIN_CHUNK.pack(len(ids), block.shape[1], len(text)), ints, latents,
             np.ascontiguousarray(block, np.float64), text]
 
@@ -435,19 +444,20 @@ def save_dataset(dataset: Dataset, path: str | Path) -> str | None:
     besides the dataset, not a list copy of the whole matrix.
 
     The twin, ``<path>.twin``, holds the records as ``read_blocks`` keeps
-    them, in binary, with the sha256 of the text and of its own payload. It
+    them, in binary, with the digests of the text and of its own payload. It
     is written a block at a time beside the text, through a temporary file
     and a rename, when the dataset is not empty, the output is a regular
-    file, every record passes the reader's checks (``_check_record``) and
-    every count fits in int64. Otherwise any twin at that path is removed.
-    Returns the twin's path, or None when none was written.
+    file, every record passes the reader's checks (``_check_record``), every
+    count fits in int64 and no id holds a surrogate code point. Otherwise
+    any twin at that path is removed. Returns the twin's path, or None when
+    none was written.
     """
     twin_path = Path(f"{path}{TWIN_SUFFIX}")
     tmp = _temporary(twin_path)
     twin_ok = len(dataset) > 0 and (os.path.isfile(path) or not os.path.exists(path))
     width, shared, seen_ids = dataset.features.shape[1], set(), set()
     if twin_ok:
-        shared, text_digest, payload_digest = _shared_hashes(dataset.ids), _sha256(), _sha256()
+        shared, text_digest, payload_digest = _shared_hashes(dataset.ids), _digest(), _digest()
     try:
         with open_atomic(path) as fh, (tmp.open("wb") if twin_ok else contextlib.nullcontext()) as twin:
             if twin_ok:

@@ -1,12 +1,12 @@
 """Seeded mutations of dataset, twin, frame and model files never crash ``cli.main``.
 
-Each case mutates one input file of one command (a dataset's binary twin
-counts as one of its inputs) with byte flips, cuts,
-splices, inserted tokens (``1e999``, ``NaN``, a ``\\xff`` byte, brackets,
-30-digit integers) and numbers swapped for extreme ones, runs the command,
-and asserts that no exception escaped ``main`` and that the exit code is 0,
-1 or 2. Numeric warnings on extreme values are not errors for a user, so
-they are ignored here.
+Each case mutates one input file of one command, or the binary twin that
+lies beside its dataset, with byte flips, cuts, splices, inserted tokens
+(``1e999``, ``NaN``, a ``\\xff`` byte, brackets, 30-digit integers) and
+numbers swapped for extreme ones, runs the command, and asserts that no
+exception escaped ``main`` and that the exit code is 0, 1 or 2. Numeric
+warnings on extreme values are not errors for a user, so they are ignored
+here.
 """
 
 import random
@@ -80,9 +80,29 @@ def _argv(command, paths, out):
 
 
 # the files each command reads, any of which a case may mutate
-INPUTS = {"score": ("data", "twin"), "sample": ("data", "twin"), "train": ("data", "twin"),
-          "embed": ("data", "twin", "model"), "rank": ("data", "twin", "model"),
-          "eval": ("data", "twin", "model"), "video": ("frames", "model")}
+INPUTS = {"score": ("data",), "sample": ("data",), "train": ("data",),
+          "embed": ("data", "model"), "rank": ("data", "model"), "eval": ("data", "model"),
+          "video": ("frames", "model")}
+# the commands whose dataset lies beside its twin
+TWIN_READERS = [command for command, names in INPUTS.items() if "data" in names]
+TWIN_CASES_PER_COMMAND = 20
+
+
+def _run_mutated(tmp_path, originals, command, case, name, rng):
+    """Run ``command`` on its inputs (and the dataset's twin), ``name`` mutated; assert a clean exit."""
+    paths = {}
+    for each in INPUTS[command] + (("twin",) if command in TWIN_READERS else ()):
+        path = tmp_path / f"{case}-{FILES.get(each, each)}"
+        path.write_bytes(originals[each])
+        paths[each] = str(path)
+    with open(paths[name], "wb") as fh:
+        fh.write(mutate(originals[name], rng))
+    argv = _argv(command, paths, str(tmp_path / f"{case}-out.csv"))
+    try:
+        code = cli.main(argv)
+    except (Exception, SystemExit) as exc:  # any escape is the failure under test
+        raise AssertionError(f"case {command}-{case} ({name} mutated) escaped main") from exc
+    assert code in (0, 1, 2), f"case {command}-{case} ({name} mutated) exited {code}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -90,18 +110,14 @@ INPUTS = {"score": ("data", "twin"), "sample": ("data", "twin"), "train": ("data
 def test_mutated_inputs_exit_cleanly(tmp_path, capsys, originals, command):
     for case in range(CASES_PER_COMMAND):
         rng = random.Random(f"{command}-{case}")
-        paths = {}
-        for name in INPUTS[command]:
-            path = tmp_path / f"{case}-{FILES.get(name, name)}"
-            path.write_bytes(originals[name])
-            paths[name] = str(path)
-        name = rng.choice(INPUTS[command])
-        with open(paths[name], "wb") as fh:
-            fh.write(mutate(originals[name], rng))
-        argv = _argv(command, paths, str(tmp_path / f"{case}-out.csv"))
-        try:
-            code = cli.main(argv)
-        except (Exception, SystemExit) as exc:  # any escape is the failure under test
-            raise AssertionError(f"case {command}-{case} ({name} mutated) escaped main") from exc
-        assert code in (0, 1, 2), f"case {command}-{case} ({name} mutated) exited {code}"
+        _run_mutated(tmp_path, originals, command, case, rng.choice(INPUTS[command]), rng)
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", TWIN_READERS)
+def test_mutated_twins_exit_cleanly(tmp_path, capsys, originals, command):
+    for case in range(TWIN_CASES_PER_COMMAND):
+        rng = random.Random(f"{command}-twin-{case}")
+        _run_mutated(tmp_path, originals, command, f"twin{case}", "twin", rng)
     capsys.readouterr()

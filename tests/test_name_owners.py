@@ -22,7 +22,7 @@ OWNERS = {
     "projection_score": "ranker.py",
     **dict.fromkeys(["TWIN_SUFFIX", "_TWIN_HEAD", "_TWIN_MAGIC", "_TWIN_VERSION", "_TWIN_CHUNK",
                      "_open_twin", "_twin_rows", "_twin_chunk", "_shared_hashes", "_file_digest",
-                     "_sha256"], "data_model.py"),
+                     "_digest"], "data_model.py"),
 }
 
 

@@ -8,6 +8,9 @@ cannot be read, is ignored and the text is parsed.
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -37,7 +40,7 @@ def odd_dataset(n, seed=0):
     latents[::3] = np.nan
     latents[1::5] = -0.0
     latents[2::11] = 1.0
-    ids = [f"r{i}-é\u0000ø\ud800\U0001f600" if i % 2 else f"r{i}" for i in range(n)]
+    ids = [f"r{i}-é\u0000ø\U0001f600\u0000" if i % 2 else f"r{i}" for i in range(n)]
     views = [INT64_MAX - i if i % 4 == 0 else 100 + i for i in range(n)]
     faves = [1 + i % 100 for i in range(n)]
     return Dataset(ids, views, faves, features, latents)
@@ -96,7 +99,8 @@ def record(rec_id, views, faves, features, latent):
     return obj
 
 
-# unicode, lone surrogates and NULs, trailing ones too
+# unicode, surrogates (lone or in pairs) and NULs, trailing ones too
+SURROGATE = re.compile("[\ud800-\udfff]")
 ids = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]), st.just("\x00")), max_size=6)
 counts = st.one_of(st.integers(-3, 2000), st.integers(2**62, 2**65))
 numbers = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -131,7 +135,24 @@ def test_any_dataset_round_trips_exactly_or_gets_no_twin(tmp_path, monkeypatch, 
         assert_same_blocks(from_twin, parsed, frames)
     keeps_all = len(data_model.load_dataset(path)) == len(dataset) > 0
     fits = all(-INT64_MAX - 1 <= c <= INT64_MAX for c in dataset.views + dataset.faves)
-    assert (twin is not None) == (keeps_all and fits)
+    encodable = not any(SURROGATE.search(rec_id) for rec_id in dataset.ids)
+    assert (twin is not None) == (keeps_all and fits and encodable)
+
+
+@pytest.mark.parametrize("ids, parsed", [
+    (["a", "\ud83d\ude00"], ["a", "\U0001f600"]),
+    (["\ud83d\ude00", "\U0001f600"], ["\U0001f600"]),
+    (["\U0001f600", "\ud83d\ude00"], ["\U0001f600"]),
+    (["a\ud800", "b\udfff"], ["a\ud800", "b\udfff"]),
+], ids=["pair", "pair_then_joined", "joined_then_pair", "lone"])
+def test_an_id_with_a_surrogate_gets_no_twin(tmp_path, ids, parsed):
+    # the text escapes each surrogate alone, and a parse joins an escaped pair into one character
+    path = tmp_path / "d.jsonl"
+    twin_of(path).write_bytes(b"an old twin")
+    n = len(ids)
+    assert save_dataset(Dataset(ids, [10] * n, [2] * n, np.ones((n, 2)), np.full(n, np.nan)), path) is None
+    assert not twin_of(path).exists()
+    assert data_model.load_dataset(path).ids == parsed
 
 
 # --- fallback: a twin that does not match is ignored -------------------------
@@ -253,6 +274,20 @@ def test_a_repeated_id_gets_no_twin(tmp_path, first, again):
     assert save_dataset(repeated, path) is None
     assert not twin_of(path).exists()
     assert len(data_model.load_dataset(path)) == 2 * B + 5
+
+
+def test_reading_a_twin_loads_no_openssl(tmp_path):
+    # hashlib would map OpenSSL's libcrypto into every command that reads a twin
+    data = tmp_path / "d.jsonl"
+    save_dataset(odd_dataset(B + 5), data)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys; from aespace import data_model; data_model.json.loads = None; "
+            "rows = sum(map(len, data_model.read_blocks(sys.argv[1]))); "
+            "print(rows, '_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(data)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [str(B + 5), "False"]
 
 
 def test_synth_lists_its_twin_among_its_outputs(tmp_path):
