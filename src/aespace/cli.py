@@ -7,9 +7,10 @@ embed, rank, evaluate orderings, and score frame sequences.
 Every run writes its primary output plus a ``<out>.meta.json`` sidecar
 recording the subcommand, the fully resolved config, seeds, paths, the
 package version, and wall-clock duration. It and ``synth``'s ``<out>.sidecar.json``
-are skipped when the primary output is not a regular file (a pipe or a device),
-as is the binary twin that ``synth`` writes beside its dataset
-(``data_model.save_dataset``).
+are skipped when the primary output is not a regular file (a pipe or a device).
+A command that reads a JSONL file may leave a binary twin, ``<path>.twin``, about
+40% of its size at 16 features, for later reads (``data_model`` says
+when none is written); deleting one is always safe.
 All outputs except the duration field are deterministic for fixed flags.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. A ``ConfigError``,
@@ -182,13 +183,11 @@ def _cmd_synth(args):
         view_range=(args.view_lo, args.view_hi),
     )
     dataset = synth.generate(config)
-    twin = data_model.save_dataset(dataset, args.out)
+    data_model.save_dataset(dataset, args.out)
     outputs = [args.out]
     if os.path.isfile(args.out):  # a pipe or a device gets no sidecar
         outputs.append(f"{args.out}.sidecar.json")
         synth.write_sidecar(config, outputs[1])
-    if twin is not None:
-        outputs.append(twin)
     return {"config": dataclasses.asdict(config), "seed": seed, "inputs": [], "outputs": outputs}
 
 

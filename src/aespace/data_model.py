@@ -27,14 +27,15 @@ block of features and embeddings at a time, plus what it keeps per record.
 ``sample``), appends the blocks' features to one flat float64 buffer, which
 becomes the feature matrix without a copy.
 
-A file written by ``save_dataset`` has a binary twin, ``<path>.twin``, when
-the reader would keep every record, every count fits in int64, no id holds a
-surrogate code point and the output is a regular file. The twin holds the
-BLAKE2b-256 digests of the text's bytes and of its own payload.
-``read_blocks`` reads the twin instead of parsing the text only when both
-digests match, and the blocks are then the ones the parse gives,
-bit for bit; any other twin (missing, short, unreadable, of another version,
-or not matching) is ignored. Only this module knows the twin's layout.
+A parse that reaches the end of a regular file, not a symlink, with every record
+kept writes a binary twin, ``<path>.twin``: the kept records in binary (about
+40% of the text at 16 features) with BLAKE2b-256 digests of the text as read and
+of the twin. A frames read writes a frames-only twin, which dataset reads
+ignore. ``read_blocks`` reads a twin that serves it and whose digests match
+instead of parsing, with the parse's blocks bit for bit; any other twin is
+ignored. No twin is written for a count beyond int64, an id with a lone
+surrogate or a read that stops early, and one that cannot be written costs the
+read nothing. Deleting a twin is always safe. Only this module knows its layout.
 
 Matrices are cut into blocks of rows by one rule, ``row_blocks``:
 ``encoder.forward`` embeds, ``ranker.embed`` takes norms of, and
@@ -43,7 +44,7 @@ leaves a block of one row when n >= 2.
 
 Every CSV output of the package is written by ``write_csv``, every text
 output file through ``open_atomic``, and a twin through a temporary file and
-a rename too, so a failed run leaves no partial file.
+a rename too, so a failed run or read leaves no partial file.
 """
 
 from __future__ import annotations
@@ -69,16 +70,18 @@ logger = logging.getLogger(__name__)
 
 # exact types: JSON yields no subclasses, and a bool is no number here
 _NUMBER_TYPES = frozenset((int, float))
+# ``json.loads`` without its wrapper and whitespace skips, for a line stripped of whitespace
+_decode = json.JSONDecoder().raw_decode
 
 # the most rows in a ``row_blocks`` block, and the rows of each ``read_blocks`` block but the last
 ROW_BLOCK = 1024
 
-# the twin of a ``save_dataset`` output: ``<path>.twin``
+# the twin of a file ``read_blocks`` has parsed: ``<path>.twin``
 TWIN_SUFFIX = ".twin"
-# magic (its last letter the byte order of the numbers), version, digest of the text, digest of the payload
-_TWIN_HEAD = struct.Struct("=8sI32s32s")
+# magic (its last letter the numbers' byte order), version, frames-only, text digest, twin digest
+_TWIN_HEAD = struct.Struct("=8sI?32s32s")
 _TWIN_MAGIC = b"AESTWIN" + sys.byteorder[:1].encode()
-_TWIN_VERSION = 2
+_TWIN_VERSION = 3
 # the payload is one chunk per block, each headed by its records, feature width and id text bytes
 _TWIN_CHUNK = struct.Struct("=qqq")
 
@@ -214,12 +217,15 @@ def _check_record(obj, line_number: int, width: int, frames: bool, seen_ids: set
     return math.nan if latent is None else latent
 
 
-def _parsed_rows(path: str | Path, columns: tuple, frames: bool) -> Iterator[int]:
-    """Parse a metadata file into the reader's columns, yielding the feature width after each line."""
+def _parsed_rows(path: str | Path, columns: tuple, frames: bool, out) -> Iterator[tuple[int, int]]:
+    """Parse a metadata file into the reader's columns, yielding the feature width and the records
+    rejected so far after each line; each raw line goes into the text digest of the writer ``out``."""
     ids, views, faves, latents, values = columns
-    seen_ids, width, rejected = set(), 0, 0
+    seen_ids, width, rejected, hash_line = set(), 0, 0, out and out.text.update
     with Path(path).open("rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
+            if hash_line:
+                hash_line(raw)
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
@@ -227,7 +233,9 @@ def _parsed_rows(path: str | Path, columns: tuple, frames: bool) -> Iterator[int
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = (None, 0) if line[0] == "\ufeff" else _decode(line)
+                if end < len(line):  # a byte order mark, or data after the value
+                    json.loads(line)  # raises, in its own words
             except json.JSONDecodeError as exc:
                 raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
@@ -236,7 +244,7 @@ def _parsed_rows(path: str | Path, columns: tuple, frames: bool) -> Iterator[int
                 latent = _check_record(obj, line_number, width, frames, seen_ids)
             except RecordError as exc:
                 logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
-                rejected += 1
+                rejected, hash_line = rejected + 1, None  # a rejected record leaves no twin
             else:
                 if not frames:
                     views.append(obj["views"])
@@ -246,7 +254,7 @@ def _parsed_rows(path: str | Path, columns: tuple, frames: bool) -> Iterator[int
                 values.fromlist(obj["features"])
             if not width:
                 width = len(obj["features"])
-            yield width
+            yield width, rejected
     if rejected:
         logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
 
@@ -260,20 +268,18 @@ def _digest():
     return blake2b(digest_size=32)
 
 
-def _file_digest(fh) -> bytes:
-    """The digest of the rest of an open binary file."""
+def _file_digest(fh, tail: bytes = b"") -> bytes:
+    """The digest of the rest of an open binary file, followed by ``tail``."""
     digest = _digest()
     while data := fh.read(1 << 18):
         digest.update(data)
+    digest.update(tail)
     return digest.digest()
 
 
-def _open_twin(path: str | Path):
-    """The twin of ``path``, open at its payload, if it is whole and was made from the bytes of ``path``.
-
-    A missing, short, unreadable or other-version twin, or a digest that
-    does not match, gives None.
-    """
+def _open_twin(path: str | Path, frames: bool):
+    """The twin of ``path``, open at its payload, and its frames-only flag, if the twin is whole,
+    serves this read and was made from the bytes of ``path``; None for any other twin."""
     try:
         fh = open(f"{path}{TWIN_SUFFIX}", "rb")
     except OSError:
@@ -281,34 +287,86 @@ def _open_twin(path: str | Path):
     try:
         head = fh.read(_TWIN_HEAD.size)
         if len(head) == _TWIN_HEAD.size and os.path.isfile(path):  # a pipe cannot be read twice
-            magic, version, text_digest, payload_digest = _TWIN_HEAD.unpack(head)
-            if (magic, version) == (_TWIN_MAGIC, _TWIN_VERSION) and _file_digest(fh) == payload_digest:
+            magic, version, frames_only, text_digest, twin_digest = _TWIN_HEAD.unpack(head)
+            if ((magic, version) == (_TWIN_MAGIC, _TWIN_VERSION) and (frames or not frames_only)
+                    and _file_digest(fh, head[:-32]) == twin_digest):
                 with open(path, "rb") as text:
                     if _file_digest(text) == text_digest:
                         fh.seek(_TWIN_HEAD.size)
-                        return fh
+                        return fh, frames_only
     except OSError:
         pass
     fh.close()
     return None
 
 
-def _twin_rows(fh, columns: tuple, frames: bool) -> Iterator[int]:
-    """Read a verified twin's chunks into the reader's columns, yielding the feature width after each."""
+def _twin_rows(fh, frames_only: bool, columns: tuple, frames: bool) -> Iterator[tuple[int, int]]:
+    """Read a verified twin's chunks into the reader's columns, yielding as ``_parsed_rows`` does."""
     ids, views, faves, latents, values = columns
+    lead = 1 if frames_only else 4  # 8-byte columns before the features: id ends, views, faves, latents
     with fh:
         while head := fh.read(_TWIN_CHUNK.size):
             k, width, text_bytes = _TWIN_CHUNK.unpack(head)
-            chunk = memoryview(fh.read(8 * k * (4 + width) + text_bytes))
-            ends, chunk_views, chunk_faves = np.frombuffer(chunk, np.int64, 3 * k).reshape(3, k).tolist()
-            text = str(chunk[8 * k * (4 + width):], "utf-8")
+            chunk = memoryview(fh.read(8 * k * (lead + width) + text_bytes))
+            ends = np.frombuffer(chunk, np.int64, k).tolist()
+            text = str(chunk[8 * k * (lead + width):], "utf-8")
             ids += [text[start:end] for start, end in zip([0, *ends], ends)]
             if not frames:
-                views += chunk_views
-                faves += chunk_faves
+                counts = np.frombuffer(chunk, np.int64, 2 * k, 8 * k).reshape(2, k).tolist()
+                views += counts[0]
+                faves += counts[1]
                 latents.frombytes(chunk[24 * k:32 * k])
-            values.frombytes(chunk[32 * k:8 * k * (4 + width)])
-            yield width
+            values.frombytes(chunk[8 * k * lead:8 * k * (lead + width)])
+            yield width, 0
+
+
+def _twin_chunk(block: Dataset, frames: bool) -> list:
+    """One block's twin chunk as the buffers to write in order: its head, the ids' end offsets, the
+    views, faves and latent scores unless ``frames``, the features and the ids' UTF-8 text. Raises
+    OverflowError for a count beyond int64, UnicodeEncodeError for an id with a lone surrogate."""
+    counts = [] if frames else [np.array([block.views, block.faves], np.int64), block.latent_scores]
+    text = "".join(block.ids).encode("utf-8")
+    ends = np.fromiter(map(len, block.ids), np.int64, len(block)).cumsum()
+    return [_TWIN_CHUNK.pack(len(block), block.features.shape[1], len(text)), ends, *counts,
+            block.features, text]
+
+
+class _TwinWriter:
+    """The twin of a file that ``read_blocks`` parses, written a chunk per block to a temporary file.
+
+    ``add`` returns None once the twin is in place after the last block, or once a rejected record,
+    a block without a chunk or an ``OSError`` has closed the writer, which removes the file."""
+
+    def __init__(self, path: str | Path, frames: bool):
+        self.path, self.frames = Path(f"{path}{TWIN_SUFFIX}"), frames
+        self.text, self.digest = _digest(), _digest()  # of the file's raw lines, and of the twin
+        self.tmp = _temporary(self.path)
+        self.fh = self.tmp.open("xb")  # another read of the path in this process may be writing it
+        self.fh.seek(_TWIN_HEAD.size)  # the head is written last
+
+    def add(self, block: Dataset, rejected: int, last: bool = False) -> _TwinWriter | None:
+        if rejected:
+            return self.close()
+        try:
+            for part in _twin_chunk(block, self.frames):
+                self.fh.write(part)
+                self.digest.update(part)
+            if not last:
+                return self
+            head = _TWIN_HEAD.pack(_TWIN_MAGIC, _TWIN_VERSION, self.frames, self.text.digest(), b"")
+            self.digest.update(head[:-32])
+            self.fh.seek(0)
+            self.fh.write(head[:-32] + self.digest.digest())
+            self.fh.close()
+            os.replace(self.tmp, self.path)
+        except (OSError, OverflowError, UnicodeEncodeError):
+            self.close()
+        return None
+
+    def close(self) -> None:
+        for step in (self.fh.close, self.tmp.unlink):
+            with contextlib.suppress(OSError):
+                step()
 
 
 def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
@@ -319,8 +377,8 @@ def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
     ``load_dataset``'s field checks and is kept, or logged and skipped. With
     ``frames=True`` the views/faves keys may be absent, only ids and features
     are kept (views, faves and latent scores are empty), and a non-finite
-    frame aborts the read. A file whose twin matches it (see ``save_dataset``)
-    is read from the twin instead, with the same blocks as a parse gives.
+    frame aborts the read. A twin that serves the read gives the blocks of a
+    parse; a parse that writes a twin does so before the last block.
 
     Blocks hold ``ROW_BLOCK`` records in file order, the last one the 0 to
     ``ROW_BLOCK + 1`` left over: two records are held back until more follow,
@@ -332,12 +390,23 @@ def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
             once the reading reaches the bad line.
     """
     columns = ids, _, _, _, _ = [], [], [], array("d"), array("d")
-    twin, width = _open_twin(path), 0
-    rows = _parsed_rows(path, columns, frames) if twin is None else _twin_rows(twin, columns, frames)
-    for width in rows:
-        while len(ids) >= ROW_BLOCK + 2:
-            yield _take(columns, ROW_BLOCK, width)
-    yield _take(columns, len(ids), width)
+    twin, width, rejected, out = _open_twin(path, frames), 0, 0, None
+    with contextlib.suppress(OSError):  # none beside a symlink (``/dev/stdin``), a pipe or a device
+        if twin is None and os.path.isfile(path) and not os.path.islink(path):
+            out = _TwinWriter(path, frames)
+    rows = _twin_rows(*twin, columns, frames) if twin else _parsed_rows(path, columns, frames, out)
+    try:
+        for width, rejected in rows:
+            while len(ids) >= ROW_BLOCK + 2:
+                block = _take(columns, ROW_BLOCK, width)
+                out = out and out.add(block, rejected)
+                yield block
+        block = _take(columns, len(ids), width)
+        out = out and out.add(block, rejected or not len(block), last=True)
+        yield block
+    finally:
+        if out:
+            out.close()
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -410,99 +479,30 @@ def row_blocks(matrix: np.ndarray) -> list[np.ndarray]:
     return np.array_split(matrix, max(1, -(-len(matrix) // ROW_BLOCK)))
 
 
-def _shared_hashes(ids: list) -> set:
-    """The hashes that two or more string ids share; an id with any other hash occurs once."""
-    hashes = np.fromiter((hash(rec_id) for rec_id in ids if isinstance(rec_id, str)), np.int64)
-    hashes.sort()
-    return set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
-
-
-def _twin_chunk(ids: list, views: list, faves: list, latents: array, block: np.ndarray) -> list | None:
-    """One block's twin chunk as the buffers to write in order.
-
-    None when a count overflows int64, or when an id holds a surrogate code
-    point: the text escapes each one alone, and a parse joins an escaped
-    high and low surrogate into one character, so such an id may not come
-    back as it was.
-    """
-    try:
-        ints = np.array([np.cumsum([len(rec_id) for rec_id in ids]), views, faves], np.int64)
-        text = "".join(ids).encode("utf-8")
-    except (OverflowError, UnicodeEncodeError):
-        return None
-    return [_TWIN_CHUNK.pack(len(ids), block.shape[1], len(text)), ints, latents,
-            np.ascontiguousarray(block, np.float64), text]
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> str | None:
-    """Write a dataset in the one-record-per-line metadata format, and its twin when it can have one.
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset in the one-record-per-line metadata format, and remove any twin at ``<path>.twin``.
 
     Floats are serialized with the shortest representation that parses back
     to the identical value (at most 17 significant digits), so a
     load/save/load cycle is exact. Feature rows become Python lists one
     ``row_blocks`` block at a time, so the write holds one block of them
-    besides the dataset, not a list copy of the whole matrix.
-
-    The twin, ``<path>.twin``, holds the records as ``read_blocks`` keeps
-    them, in binary, with the digests of the text and of its own payload. It
-    is written a block at a time beside the text, through a temporary file
-    and a rename, when the dataset is not empty, the output is a regular
-    file, every record passes the reader's checks (``_check_record``), every
-    count fits in int64 and no id holds a surrogate code point. Otherwise
-    any twin at that path is removed. Returns the twin's path, or None when
-    none was written.
+    besides the dataset, not a list copy of the whole matrix. The first read
+    of the file to its end writes a new twin (see ``read_blocks``).
     """
-    twin_path = Path(f"{path}{TWIN_SUFFIX}")
-    tmp = _temporary(twin_path)
-    twin_ok = len(dataset) > 0 and (os.path.isfile(path) or not os.path.exists(path))
-    width, shared, seen_ids = dataset.features.shape[1], set(), set()
-    if twin_ok:
-        shared, text_digest, payload_digest = _shared_hashes(dataset.ids), _digest(), _digest()
-    try:
-        with open_atomic(path) as fh, (tmp.open("wb") if twin_ok else contextlib.nullcontext()) as twin:
-            if twin_ok:
-                twin.write(bytes(_TWIN_HEAD.size))  # the digests are known only at the end
-            start = 0
-            for block in row_blocks(dataset.features):
-                stop = start + len(block)
-                ids = dataset.ids[start:stop]
-                views = [int(v) for v in dataset.views[start:stop]]
-                faves = [int(f) for f in dataset.faves[start:stop]]
-                latents = array("d")
-                for line_number, (rec_id, v, f, features, latent) in enumerate(zip(
-                        ids, views, faves, block.tolist(), dataset.latent_scores[start:stop].tolist()),
-                        start=start + 1):
-                    obj = {"id": rec_id, "views": v, "faves": f, "features": features}
-                    if not math.isnan(latent):
-                        obj["latent_score"] = latent
-                    line = json.dumps(obj) + "\n"
-                    fh.write(line)
-                    if twin_ok:
-                        try:
-                            latents.append(_check_record(obj, line_number, width, False, seen_ids))
-                        except (ParseError, RecordError):
-                            twin_ok = False
-                        text_digest.update(line.encode())
-                # an id no other id shares a hash with cannot come again
-                seen_ids = {rec_id for rec_id in seen_ids if hash(rec_id) in shared}
-                chunk = _twin_chunk(ids, views, faves, latents, block) if twin_ok else None
-                twin_ok = chunk is not None
-                for part in chunk or ():
-                    twin.write(part)
-                    payload_digest.update(part)
-                start = stop
-            if twin_ok:
-                twin.seek(0)
-                twin.write(_TWIN_HEAD.pack(_TWIN_MAGIC, _TWIN_VERSION, text_digest.digest(),
-                                           payload_digest.digest()))
-        if twin_ok:
-            os.replace(tmp, twin_path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    if not twin_ok:
-        twin_path.unlink(missing_ok=True)
-        return None
-    return str(twin_path)
+    with open_atomic(path) as fh:
+        start = 0
+        for block in row_blocks(dataset.features):
+            stop = start + len(block)
+            for rec_id, views, faves, features, latent in zip(
+                    dataset.ids[start:stop], dataset.views[start:stop], dataset.faves[start:stop],
+                    block.tolist(), dataset.latent_scores[start:stop].tolist()):
+                obj = {"id": rec_id, "views": int(views), "faves": int(faves), "features": features}
+                if not math.isnan(latent):
+                    obj["latent_score"] = latent
+                fh.write(json.dumps(obj) + "\n")
+            start = stop
+    with contextlib.suppress(OSError):  # a twin that stays is refused by its digest, only later
+        Path(f"{path}{TWIN_SUFFIX}").unlink(missing_ok=True)
 
 
 def score_histogram(dataset: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,9 @@ model that smooths a scalar), then key frames are picked at the smoothed
 signal's peaks. No backward smoothing pass: each output depends only on
 frames seen so far, matching live processing. Peak picking compares each run
 of equal values with its neighbours, finds both prominence bases with one
-stack pass each way, and thins tallest first over a mask of blocked frames:
-O(n + k log k + k * min_separation) for n frames and k candidates.
+stack pass each way when a minimum prominence is set, and thins tallest first
+over a mask of blocked frames: O(n + k log k + k * min_separation) for n
+frames and k candidates.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
     rise_fall = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
     candidates = starts[1:-1][rise_fall]
 
-    proms = np.array(peak_prominences(series, candidates))
-    candidates = candidates[proms >= config.min_prominence]
+    if config.min_prominence > 0:  # a prominence is never negative, so 0 keeps every candidate
+        candidates = candidates[np.array(peak_prominences(series, candidates)) >= config.min_prominence]
 
     sep = config.min_separation
     blocked = np.zeros(series.size, dtype=bool)

@@ -184,7 +184,8 @@ class TestExitCodes:
                    "--model-out", tmp_path / "m.json", "--log-out", tmp_path / "log.csv")
         assert code == 1
         assert "no acceptable triplet" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["flat.jsonl"]
+        # the input was read to its end, so only its twin is new
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flat.jsonl", "flat.jsonl.twin"]
 
     def test_train_needs_three_records(self, tmp_path, capsys):
         path = tmp_path / "two.jsonl"
@@ -196,7 +197,8 @@ class TestExitCodes:
                    "--model-out", tmp_path / "m.json", "--log-out", tmp_path / "log.csv")
         assert code == 1
         assert "aespace train: error: need at least 3 records, got 2" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["two.jsonl"]
+        # the input was read to its end, so only its twin is new
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.jsonl", "two.jsonl.twin"]
 
     @pytest.mark.parametrize("command", ["embed", "rank", "eval", "video"])
     def test_dimension_mismatch(self, workspace, tmp_path, capsys, command):
@@ -639,9 +641,12 @@ class TestStreamMemory:
     def test_eval_holds_no_features_or_embeddings(self, tmp_path, model, twin):
         # 6.4 MB each of features and embeddings: a 20.8 MB peak while both were held;
         # one threshold keeps the agreement sweep, slow under tracing, to one pass.
-        # Without its twin the file is parsed, so both reading paths are bounded.
+        # The first read writes the twin; without it the file is parsed and a twin written,
+        # so both reading paths are bounded.
         data = tmp_path / "data.jsonl"
         assert run("synth", "--n", "50000", "--din", "16", "--seed", "7", "--out", data) == 0
+        for _ in data_model.read_blocks(data):
+            pass
         if twin == "deleted":
             os.unlink(f"{data}{data_model.TWIN_SUFFIX}")
         code, peak = self.traced_peak("eval", "--model", model, "--input", data,
@@ -675,6 +680,7 @@ class TestStreamErrors:
         assert capsys.readouterr().err == (
             f"aespace {command}: error: model output is not finite for 2 of {2 * B + 1} "
             "input(s) (first: input 700)\n")
+        # the read reached the end of the file, keeping every record, so it wrote the twin
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.meta.json",
                                                               "data.jsonl.sidecar.json",
                                                               "data.jsonl.twin"]
@@ -692,9 +698,9 @@ class TestStreamErrors:
         assert run(command, "--model", workspace["model"], input_flag, data, "--out", out) == 1
         assert capsys.readouterr().err.startswith(
             f"aespace {command}: error: line {B + 101}: invalid JSON")
+        # a read that stops early writes no twin
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.meta.json",
-                                                              "data.jsonl.sidecar.json",
-                                                              "data.jsonl.twin"]
+                                                              "data.jsonl.sidecar.json"]
 
     def test_width_mismatch_is_reported_at_the_first_block(self, workspace, tmp_path, capsys):
         # the whole file is no longer read first, so a later bad line does not win
@@ -910,5 +916,4 @@ class TestSidecar:
         assert code == 0
         assert received == [regular.read_text()]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "d.jsonl", "regular.jsonl", "regular.jsonl.meta.json", "regular.jsonl.sidecar.json",
-            "regular.jsonl.twin"]
+            "d.jsonl", "regular.jsonl", "regular.jsonl.meta.json", "regular.jsonl.sidecar.json"]

@@ -51,10 +51,14 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """A small dataset and its twin, frames without views and faves, and a model trained on the dataset."""
+    """A small dataset and its twin, frames without views and faves, and a model trained on the dataset.
+
+    The twin is the one ``train``'s read of the dataset writes.
+    """
     root = tmp_path_factory.mktemp("mutations")
     data, model = root / "data.jsonl", root / "model.json"
     assert cli.main(["synth", "--n", "12", "--din", "3", "--seed", "4", "--out", str(data)]) == 0
+    assert not (root / FILES["twin"]).exists()
     assert cli.main(["train", "--input", str(data), "--steps", "10", "--batch", "4",
                      "--hidden", "4", "--embed-dim", "2", "--seed", "4",
                      "--model-out", str(model), "--log-out", str(root / "log.csv")]) == 0

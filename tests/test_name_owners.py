@@ -5,7 +5,7 @@ The row-block rule (``np.array_split`` into ``ROW_BLOCK``-row blocks) lives in
 ``ranker``, whose ``embed`` returns the norms to every caller. In ``cli``, only
 ``train`` and ``sample`` load a whole dataset; every other command reads its
 input a block at a time. ``trainer.train`` draws its triplets once per window,
-outside the step loop. Only ``data_model`` knows a dataset's binary twin: its
+outside the step loop. Only ``data_model`` knows a file's binary twin: its
 suffix and the helpers that write and read it. A name counts
 wherever it appears as an ``ast.Name``, an ``ast.Attribute`` or an imported
 name; ``__init__.py`` only re-exports the public API, so it is not counted.
@@ -21,7 +21,7 @@ OWNERS = {
     "ROW_BLOCK": "data_model.py",
     "projection_score": "ranker.py",
     **dict.fromkeys(["TWIN_SUFFIX", "_TWIN_HEAD", "_TWIN_MAGIC", "_TWIN_VERSION", "_TWIN_CHUNK",
-                     "_open_twin", "_twin_rows", "_twin_chunk", "_shared_hashes", "_file_digest",
+                     "_open_twin", "_twin_rows", "_twin_chunk", "_TwinWriter", "_file_digest",
                      "_digest"], "data_model.py"),
 }
 

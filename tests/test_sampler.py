@@ -533,4 +533,5 @@ class TestOutputs:
                          "--out", str(out)])
         assert code == 1
         assert "no acceptable triplet" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [data]
+        # the input was read to its end, so only its twin is new
+        assert sorted(tmp_path.iterdir()) == [data, tmp_path / "d.jsonl.twin"]
