@@ -19,40 +19,5 @@ from .synth import SynthConfig, generate
 from .trainer import TrainConfig, TrainLog, train
 from .video import KalmanConfig, PeakConfig, detect_peaks, kalman_smooth, score_sequence
 
-__all__ = [
-    "__version__",
-    "AespaceError",
-    "Dataset",
-    "EncoderParams",
-    "KalmanConfig",
-    "LossConfig",
-    "PeakConfig",
-    "SamplerConfig",
-    "SynthConfig",
-    "TrainConfig",
-    "TrainLog",
-    "TripletLossResult",
-    "TripletSampler",
-    "compute_score",
-    "data_model",
-    "detect_peaks",
-    "directional_triplet_loss",
-    "encoder",
-    "errors",
-    "generate",
-    "kalman_smooth",
-    "kendall_tau",
-    "load_dataset",
-    "loss",
-    "pairwise_agreement",
-    "projection_score",
-    "rank_collection",
-    "ranker",
-    "sampler",
-    "save_dataset",
-    "score_sequence",
-    "synth",
-    "train",
-    "trainer",
-    "video",
-]
+# the version and every module and name bound above, the public API
+__all__ = ["__version__", *sorted(name for name in dir() if not name.startswith("_"))]

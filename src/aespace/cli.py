@@ -1,16 +1,11 @@
 """Command-line front end.
 
-One ``aespace`` binary with subcommands covering the whole pipeline:
-generate synthetic data, score records, dump triplets, train an encoder,
-embed, rank, evaluate orderings, and score frame sequences.
+One ``aespace`` binary with a subcommand for each stage of the pipeline.
 
 Every run writes its primary output plus a ``<out>.meta.json`` sidecar
 recording the subcommand, the fully resolved config, seeds, paths, the
 package version, and wall-clock duration. It and ``synth``'s ``<out>.sidecar.json``
 are skipped when the primary output is not a regular file (a pipe or a device).
-A command that reads a JSONL file may leave a binary twin, ``<path>.twin``, about
-40% of its size at 16 features, for later reads (``data_model`` says
-when none is written); deleting one is always safe.
 All outputs except the duration field are deterministic for fixed flags.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. A ``ConfigError``,

@@ -1,50 +1,26 @@
-"""Image metadata ingestion and the view/fave aesthetic score.
+"""Image metadata files, the view/fave aesthetic score, and their binary twins.
 
 An image's crowd signal is the pair (views, faves) collected from an online
-photo platform. The scalar aesthetic score of a record is the log ratio
-
-    score = ln(faves) / ln(views)
-
-which lands in [0, 1] for any record with views >= 2 and 1 <= faves <= views.
-The ratio is base-free (any common logarithm base cancels) and invariant
-under raising both counts to the same power, so images with different online
-life-spans under exponential count growth stay comparable.
+photo platform, and its aesthetic score, ``compute_score``, is their log
+ratio: base-free and invariant under raising both counts to the same power,
+so images with different online life-spans under exponential count growth
+stay comparable.
 
 File format: one record per line, a single JSON object with keys "id"
 (string), "views" (integer), "faves" (integer), "features" (array of
 numbers), and optional "latent_score" (number in [0, 1], synthetic ground
-truth only). UTF-8, LF line endings; a line that is not UTF-8, or that nests
-deeper than the JSON decoder can, aborts the load. Counts of any size load;
-a number beyond float range in "features" or "latent_score" rejects its
-record, as an infinite one does. The one reader, ``read_blocks``, reads a
-file once and checks each record as it is read: structure, width, then the
-field checks in ``load_dataset``'s order, so it keeps the record or logs and
-skips it; a frame file aborts at its first bad line. It yields the kept
-records as ``Dataset`` blocks of ``ROW_BLOCK`` rows, so a command that only
-reduces a file (``score``, ``embed``, ``rank``, ``eval``, ``video``) holds one
-block of features and embeddings at a time, plus what it keeps per record.
-``load_dataset``, for the commands that need every row at once (``train``,
-``sample``), appends the blocks' features to one flat float64 buffer, which
-becomes the feature matrix without a copy.
+truth only). UTF-8, LF line endings. ``read_blocks``, the one reader, states
+which line aborts a read and which record it skips.
 
 A parse that reaches the end of a regular file, not a symlink, with every record
-kept writes a binary twin, ``<path>.twin``: the kept records in binary (about
-40% of the text at 16 features) with BLAKE2b-256 digests of the text as read and
-of the twin. A frames read writes a frames-only twin, which dataset reads
-ignore. ``read_blocks`` reads a twin that serves it and whose digests match
-instead of parsing, with the parse's blocks bit for bit; any other twin is
-ignored. No twin is written for a count beyond int64, an id with a lone
-surrogate or a read that stops early, and one that cannot be written costs the
-read nothing. Deleting a twin is always safe. Only this module knows its layout.
-
-Matrices are cut into blocks of rows by one rule, ``row_blocks``:
-``encoder.forward`` embeds, ``ranker.embed`` takes norms of, and
-``save_dataset`` converts to Python floats one block at a time. Neither rule
-leaves a block of one row when n >= 2.
-
-Every CSV output of the package is written by ``write_csv``, every text
-output file through ``open_atomic``, and a twin through a temporary file and
-a rename too, so a failed run or read leaves no partial file.
+kept writes a binary twin, ``<path>.twin``: the kept records in binary with
+BLAKE2b-256 digests of the text as read and of the twin. A frames read writes a
+frames-only twin, which dataset reads ignore. ``read_blocks`` reads a twin that
+serves it and whose digests match instead of parsing, with the parse's blocks
+bit for bit; any other twin is ignored. No twin is written for a count beyond
+int64, an id with a lone surrogate or a read that stops early, and one that
+cannot be written costs the read nothing. Deleting a twin is always safe. Only
+this module knows its layout.
 """
 
 from __future__ import annotations
@@ -55,6 +31,7 @@ import json
 import logging
 import math
 import os
+import stat
 import struct
 import sys
 from array import array
@@ -73,10 +50,9 @@ _NUMBER_TYPES = frozenset((int, float))
 # ``json.loads`` without its wrapper and whitespace skips, for a line stripped of whitespace
 _decode = json.JSONDecoder().raw_decode
 
-# the most rows in a ``row_blocks`` block, and the rows of each ``read_blocks`` block but the last
+# the rows of every block ``row_blocks`` and ``read_blocks`` give but the last
 ROW_BLOCK = 1024
 
-# the twin of a file ``read_blocks`` has parsed: ``<path>.twin``
 TWIN_SUFFIX = ".twin"
 # magic (its last letter the numbers' byte order), version, frames-only, text digest, twin digest
 _TWIN_HEAD = struct.Struct("=8sI?32s32s")
@@ -166,16 +142,8 @@ def _take(columns: tuple, k: int, width: int) -> Dataset:
 
 
 def _check_record(obj, line_number: int, width: int, frames: bool, seen_ids: set) -> float:
-    """The reader's checks of one parsed line, in its order.
-
-    The structural checks come first, then the width check against
-    ``width``, the first record's feature length (0 before it), and a
-    finiteness test of the features; a dataset record then runs
-    ``load_dataset``'s field checks. Raises ``ParseError`` for a line that
-    stops the read and ``RecordError`` for a record the reader skips. A kept
-    dataset record's id joins ``seen_ids``, and its latent score is
-    returned as a float, NaN when it has none.
-    """
+    """The checks ``read_blocks`` states, of one parsed line against ``width`` (0 before the first);
+    a kept dataset record's id joins ``seen_ids``, and its latent score (NaN if none) is returned."""
     if not isinstance(obj, dict):
         raise ParseError(line_number, "record is not a JSON object")
     rec_id = obj.get("id")
@@ -217,9 +185,9 @@ def _check_record(obj, line_number: int, width: int, frames: bool, seen_ids: set
     return math.nan if latent is None else latent
 
 
-def _parsed_rows(path: str | Path, columns: tuple, frames: bool, out) -> Iterator[tuple[int, int]]:
-    """Parse a metadata file into the reader's columns, yielding the feature width and the records
-    rejected so far after each line; each raw line goes into the text digest of the writer ``out``."""
+def _parsed_rows(path: str | Path, columns: tuple, frames: bool, out) -> Iterator[int]:
+    """Parse a metadata file into the reader's columns, yielding the feature width after each line;
+    each raw line goes into the text digest of the writer ``out``, which a rejected record closes."""
     ids, views, faves, latents, values = columns
     seen_ids, width, rejected, hash_line = set(), 0, 0, out and out.text.update
     with Path(path).open("rb") as fh:
@@ -244,7 +212,7 @@ def _parsed_rows(path: str | Path, columns: tuple, frames: bool, out) -> Iterato
                 latent = _check_record(obj, line_number, width, frames, seen_ids)
             except RecordError as exc:
                 logger.warning("rejected record at line %d (%s): %s", line_number, exc.field, exc)
-                rejected, hash_line = rejected + 1, None  # a rejected record leaves no twin
+                rejected, hash_line = rejected + 1, out and out.close()  # a rejected record leaves no twin
             else:
                 if not frames:
                     views.append(obj["views"])
@@ -254,7 +222,7 @@ def _parsed_rows(path: str | Path, columns: tuple, frames: bool, out) -> Iterato
                 values.fromlist(obj["features"])
             if not width:
                 width = len(obj["features"])
-            yield width, rejected
+            yield width
     if rejected:
         logger.info("load_dataset(%s): rejected %d record(s)", path, rejected)
 
@@ -280,13 +248,13 @@ def _file_digest(fh, tail: bytes = b"") -> bytes:
 def _open_twin(path: str | Path, frames: bool):
     """The twin of ``path``, open at its payload, and its frames-only flag, if the twin is whole,
     serves this read and was made from the bytes of ``path``; None for any other twin."""
-    try:
-        fh = open(f"{path}{TWIN_SUFFIX}", "rb")
+    try:  # without O_NONBLOCK, opening a FIFO waits for a writer
+        fh = open(os.open(f"{path}{TWIN_SUFFIX}", os.O_RDONLY | os.O_NONBLOCK), "rb")
     except OSError:
         return None
     try:
-        head = fh.read(_TWIN_HEAD.size)
-        if len(head) == _TWIN_HEAD.size and os.path.isfile(path):  # a pipe cannot be read twice
+        head = fh.read(_TWIN_HEAD.size) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else b""
+        if len(head) == _TWIN_HEAD.size:
             magic, version, frames_only, text_digest, twin_digest = _TWIN_HEAD.unpack(head)
             if ((magic, version) == (_TWIN_MAGIC, _TWIN_VERSION) and (frames or not frames_only)
                     and _file_digest(fh, head[:-32]) == twin_digest):
@@ -300,7 +268,7 @@ def _open_twin(path: str | Path, frames: bool):
     return None
 
 
-def _twin_rows(fh, frames_only: bool, columns: tuple, frames: bool) -> Iterator[tuple[int, int]]:
+def _twin_rows(fh, frames_only: bool, columns: tuple, frames: bool) -> Iterator[int]:
     """Read a verified twin's chunks into the reader's columns, yielding as ``_parsed_rows`` does."""
     ids, views, faves, latents, values = columns
     lead = 1 if frames_only else 4  # 8-byte columns before the features: id ends, views, faves, latents
@@ -317,7 +285,7 @@ def _twin_rows(fh, frames_only: bool, columns: tuple, frames: bool) -> Iterator[
                 faves += counts[1]
                 latents.frombytes(chunk[24 * k:32 * k])
             values.frombytes(chunk[8 * k * lead:8 * k * (lead + width)])
-            yield width, 0
+            yield width
 
 
 def _twin_chunk(block: Dataset, frames: bool) -> list:
@@ -335,7 +303,7 @@ class _TwinWriter:
     """The twin of a file that ``read_blocks`` parses, written a chunk per block to a temporary file.
 
     ``add`` returns None once the twin is in place after the last block, or once a rejected record,
-    a block without a chunk or an ``OSError`` has closed the writer, which removes the file."""
+    an empty file or a block it cannot write has closed the writer, which removes the file."""
 
     def __init__(self, path: str | Path, frames: bool):
         self.path, self.frames = Path(f"{path}{TWIN_SUFFIX}"), frames
@@ -344,8 +312,8 @@ class _TwinWriter:
         self.fh = self.tmp.open("xb")  # another read of the path in this process may be writing it
         self.fh.seek(_TWIN_HEAD.size)  # the head is written last
 
-    def add(self, block: Dataset, rejected: int, last: bool = False) -> _TwinWriter | None:
-        if rejected:
+    def add(self, block: Dataset, last: bool = False) -> _TwinWriter | None:
+        if self.fh.closed or not len(block):  # closed by a rejected record; an empty file's block
             return self.close()
         try:
             for part in _twin_chunk(block, self.frames):
@@ -372,37 +340,43 @@ class _TwinWriter:
 def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
     """Read a metadata file in one pass, yielding its kept records as ``Dataset`` blocks.
 
-    A line gets the structural checks, the width check against the first
-    record and a finiteness test of its features. A dataset record then runs
-    ``load_dataset``'s field checks and is kept, or logged and skipped. With
-    ``frames=True`` the views/faves keys may be absent, only ids and features
-    are kept (views, faves and latent scores are empty), and a non-finite
-    frame aborts the read. A twin that serves the read gives the blocks of a
-    parse; a parse that writes a twin does so before the last block.
+    Each line is checked as it is read, and the first check that fails
+    decides. A line that is not UTF-8, is not JSON (or nests deeper than the
+    decoder can), is not an object with a string "id", a non-empty "features"
+    array of numbers, a number or nothing as "latent_score" and integer
+    "views" and "faves", or whose feature length differs from the first
+    record's, raises ``ParseError``. A dataset record is then rejected,
+    logged with its line number and field and skipped, if views >= 2,
+    1 <= faves <= views, finite features, a latent score in [0, 1] or an id
+    not already kept fails, in that order; a summary line counts the
+    rejections. Counts of any size load; a number beyond float range counts
+    as infinite. With ``frames=True`` views/faves may be absent, only ids and
+    features are kept (views, faves and latent scores are empty), and a
+    non-finite feature raises ``ParseError``.
 
     Blocks hold ``ROW_BLOCK`` records in file order, the last one the 0 to
-    ``ROW_BLOCK + 1`` left over: two records are held back until more follow,
-    so that, as with ``row_blocks``, no block has one row when n >= 2. An
-    empty file gives one empty block.
+    ``ROW_BLOCK + 1`` left over, so they are the ``row_blocks`` of the whole
+    feature matrix. An empty file gives one empty block. A twin, read or
+    written as the module docstring states, gives the blocks of a parse.
 
     Raises:
-        ParseError: As ``load_dataset`` and ``video.load_frames`` describe,
-            once the reading reaches the bad line.
+        ParseError: As stated above, once the reading reaches the bad line.
     """
     columns = ids, _, _, _, _ = [], [], [], array("d"), array("d")
-    twin, width, rejected, out = _open_twin(path, frames), 0, 0, None
-    with contextlib.suppress(OSError):  # none beside a symlink (``/dev/stdin``), a pipe or a device
-        if twin is None and os.path.isfile(path) and not os.path.islink(path):
-            out = _TwinWriter(path, frames)
+    twin, out, width = None, None, 0
+    if os.path.isfile(path) and not os.path.islink(path):  # not a pipe, a device or ``/dev/stdin``
+        twin = _open_twin(path, frames)
+        with contextlib.suppress(OSError):
+            out = None if twin else _TwinWriter(path, frames)
     rows = _twin_rows(*twin, columns, frames) if twin else _parsed_rows(path, columns, frames, out)
     try:
-        for width, rejected in rows:
+        for width in rows:
             while len(ids) >= ROW_BLOCK + 2:
                 block = _take(columns, ROW_BLOCK, width)
-                out = out and out.add(block, rejected)
+                out = out and out.add(block)
                 yield block
         block = _take(columns, len(ids), width)
-        out = out and out.add(block, rejected or not len(block), last=True)
+        out = out and out.add(block, last=True)
         yield block
     finally:
         if out:
@@ -410,15 +384,9 @@ def read_blocks(path: str | Path, *, frames: bool = False) -> Iterator[Dataset]:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load a metadata file in one pass, rejecting records that violate field constraints.
+    """Load a metadata file in one pass, with the checks ``read_blocks`` states, as one ``Dataset``.
 
-    Each record is checked as it is read. Its checks run in this order, and
-    the first that fails rejects it: views, faves, finite features, latent
-    score in [0, 1], an id not already kept. Rejected records are logged
-    with their line number and offending field; a summary line reports the
-    rejection count. Structural problems abort the load instead; warnings
-    for earlier lines are logged by then. The ``read_blocks`` blocks are
-    appended to one feature buffer, which becomes the matrix without a copy.
+    Its blocks' features go to one buffer, which becomes the matrix without a copy.
 
     Raises:
         ParseError: A line is not UTF-8 text or not a valid record object,
@@ -470,13 +438,13 @@ def open_atomic(path: str | Path, newline: str = "\n"):
 
 
 def row_blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """Views of ceil(n / ROW_BLOCK) nearly equal blocks of rows, none of one row when n >= 2.
+    """Views of blocks of ``ROW_BLOCK`` rows, the last the 0 to ``ROW_BLOCK + 1`` left over.
 
-    BLAS multiplies a single row by a matrix-vector kernel, which may round
-    differently; blocks of 2 rows or more give the bits of one pass over all
-    n rows (OpenBLAS 0.3.31, 1 and 2 threads, blocks of 2 to 16,384 rows).
+    These are the blocks ``read_blocks`` yields for the same rows. No block
+    has one row when n >= 2, which BLAS would multiply by a matrix-vector
+    kernel that may round differently from one pass over all n rows.
     """
-    return np.array_split(matrix, max(1, -(-len(matrix) // ROW_BLOCK)))
+    return np.split(matrix, range(ROW_BLOCK, len(matrix) - 1, ROW_BLOCK))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -485,9 +453,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     Floats are serialized with the shortest representation that parses back
     to the identical value (at most 17 significant digits), so a
     load/save/load cycle is exact. Feature rows become Python lists one
-    ``row_blocks`` block at a time, so the write holds one block of them
-    besides the dataset, not a list copy of the whole matrix. The first read
-    of the file to its end writes a new twin (see ``read_blocks``).
+    ``row_blocks`` block at a time, not a list copy of the whole matrix.
     """
     with open_atomic(path) as fh:
         start = 0

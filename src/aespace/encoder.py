@@ -4,23 +4,9 @@ Hidden layers apply an affine map followed by a rectifier max(0, x); the
 final layer is a plain affine projection. All arithmetic is float64.
 Weights initialize from a zero-mean normal with std sqrt(2 / fan_in),
 biases from zero. The rectifier derivative at exactly 0 is taken as 0.
-A bias gradient is summed over the batch row by row, in row order.
 
-A training step backpropagates only the rows with a nonzero gradient (see
-``loss.batch_loss``). Adding a zero row changes no sum, so each gradient
-has the bits of a pass over the whole batch, within the measured limits
-the README gives.
-
-``EncoderParams`` owns one flat buffer holding every weight, then every
-bias; its per-layer arrays are views into it, so one array operation
-updates every layer. Gradients are an ``EncoderParams`` over a second buffer
-of the same size. This module alone decides that layout.
-
-Inference (``forward``) writes each ``data_model.row_blocks`` block's
-embeddings into one preallocated output, so at most one block's hidden
-activations are alive at a time. Training calls ``_forward_pass`` on the whole
-batch, because ``_backward_pass`` needs every layer's activations for each row
-it takes back.
+Parameters and their gradients are each an ``EncoderParams``, whose one
+flat buffer lets one array operation update every layer.
 """
 
 from __future__ import annotations
@@ -105,10 +91,7 @@ def _as_batch(x, d_in):
 
 
 def _forward_pass(params, x):
-    """Post-activations per layer (h[0] = x), each bias add and rectifier in place.
-
-    Each layer multiplies by a contiguous copy of w.T, which BLAS runs faster than the view.
-    """
+    """Post-activations per layer (h[0] = x), each bias add and rectifier in place."""
     h = [x]
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -123,12 +106,9 @@ def _forward_pass(params, x):
 def _backward_pass(params, h, grad, grads_out: EncoderParams) -> np.ndarray:
     """Writes the parameter gradients of sum_i <grad[i], h[-1][i]> into ``grads_out``.
 
-    ``h`` is what ``_forward_pass`` returned. A hidden unit passes gradient
-    iff its post-activation is positive, which is the same mask as z > 0.
-    Returns the gradient wrt the first layer's pre-activation; the input
-    gradient, one product with the first weight matrix away, is not formed.
-    Each bias gradient, the batch sum of its delta, is added up row by row,
-    so a row whose delta is zero leaves it unchanged.
+    ``h`` is what ``_forward_pass`` returned. Returns the gradient wrt the
+    first layer's pre-activation, not the input. Each bias gradient is added
+    up row by row, so a row whose delta is zero leaves it unchanged.
     """
     delta = grad
     for k in range(len(params.weights) - 1, -1, -1):

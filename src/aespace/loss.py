@@ -17,11 +17,6 @@ it rewards growing |a| without limit), so it is for comparison runs only.
 
 Subgradient conventions: a hinge at its kink contributes 0, and the
 gradient of |x| at x = 0 is the zero vector.
-
-A satisfied triplet contributes exactly nothing, so ``batch_loss`` returns
-the gradient only of the rows a hinge moves, with their indices (``rows``);
-a training step backpropagates those rows alone. Each returned gradient has
-the bits it would have in the full (3B, d) layout.
 """
 
 from __future__ import annotations
@@ -76,18 +71,15 @@ def batch_loss(emb, s_a, s_n, config: LossConfig):
     each block is one triplet. ``s_a`` and ``s_n`` hold the B anchor and
     negative scores.
 
-    A hinge that is not active contributes exactly nothing, so most rows of
-    a batch have a zero gradient. ``rows`` names, in ascending order, the
-    rows whose gradient is formed: the anchor and negative of every triplet
-    with either hinge active, and the positive of every triplet with the
-    triplet hinge active. Every other row's gradient is exactly zero. The
-    directional term is formed for the whole batch and is a zero vector
-    where its hinge is inactive, so adding it changes no value there.
+    A live row is the anchor or negative of a triplet with either hinge
+    active, or the positive of one with the triplet hinge active. Every other
+    row's gradient is exactly zero; each live row's has the bits it would
+    have in the full (3B, d) layout.
 
     Returns:
         (l_e, l_d, rows, grad): the two loss terms per triplet (length B),
-        the indices into ``emb`` of the live rows, and their gradients, one
-        row of ``grad`` per entry of ``rows``.
+        the ascending indices into ``emb`` of the live rows, and their
+        gradients, one row of ``grad`` per entry of ``rows``.
 
     Raises:
         InputError: ``emb`` is not 2-D with three rows per score.

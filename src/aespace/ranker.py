@@ -4,16 +4,6 @@ The embedding space only encodes relative distances; to put items on a 1-D
 scale, ``embed`` takes the Euclidean norm of each embedding, its projection
 score, once for every caller. Any common rotation of the space leaves both
 distances and norms unchanged, so orderings survive re-orientation of the axes.
-
-A collection read a block at a time (``data_model.read_blocks``) goes
-through ``embed_blocks``: each block is embedded and reduced before the next
-is read, and the check that the model output is finite reports once, after
-the last block, with counts over the whole collection. ``rank_collection``
-keeps only the ids and one float64 array of norms, which a stable argsort
-orders; only runs of equal norms are sorted again, by id, in Python.
-
-Pairwise agreement and Kendall tau come from one exact sweep,
-``_count_agreeing``, and match their all-pairs definitions bit for bit.
 """
 
 from __future__ import annotations
@@ -42,20 +32,15 @@ class AgreementRow:
 
 
 def projection_score(phi):
-    """Euclidean norm of an embedding, or of each row of an embedding batch.
-
-    This is the 1-D scale value: a float for one embedding (1-D input), an
-    array of one value per row for a batch (2-D input).
-    """
+    """Euclidean norm of an embedding (a float), or of each row of an embedding batch (an array)."""
     return np.linalg.norm(np.asarray(phi, dtype=np.float64), axis=-1)
 
 
 def embed(params: encoder.EncoderParams, features) -> tuple[np.ndarray, np.ndarray]:
     """``encoder.forward`` for inference, and each embedding's projection score, all finite.
 
-    A model with huge (but finite) weights can overflow on ordinary input;
-    its output would rank and score as NaN or infinity. The norms are taken
-    one ``row_blocks`` block at a time; a 1-D input gives one float norm.
+    The norms are taken one ``row_blocks`` block at a time; a 1-D input gives
+    one float norm.
 
     Raises:
         InputError: The features are ragged or not the model's width.
@@ -77,14 +62,14 @@ def embed_blocks(score, params: encoder.EncoderParams,
 
     ``score`` is ``embed`` or a function that calls it. A block whose model
     output is not finite yields nothing and the blocks after it are still
-    read; after the last block, one ``NonFiniteError`` counts the non-finite
-    inputs of every block and names the first by its index in the whole
-    stream, so its text is that of one ``embed`` call over all the rows.
+    read.
 
     Raises:
         InputError: A block's features are not the model's width, raised at
             that block.
-        NonFiniteError: After the last block, as described above.
+        NonFiniteError: After the last block, counting the non-finite inputs
+            of every block and naming the first by its index in the whole
+            stream, as one ``embed`` call over all the rows would.
     """
     total = count = first = 0
     for block in blocks:
@@ -187,11 +172,6 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
     for agreement between the projection-score ordering and the true-score
     ordering. A projection-score tie counts as disagreement.
 
-    O(n log n) time per threshold and O(n) memory: after one sort by true
-    score, one ``_count_agreeing`` sweep per threshold counts, for each
-    item, the items below it by more than the threshold and, of those, the
-    ones with a strictly lower projection score.
-
     Raises:
         InputError: Score lists are not aligned, have fewer than 2 items or
             hold a NaN or infinite value, or ``check_thresholds`` rejects
@@ -220,8 +200,8 @@ def pairwise_agreement(projection_scores, true_scores, thresholds) -> list[Agree
 def kendall_tau(order_a: list[str], order_b: list[str]) -> float:
     """Rank correlation between two orderings of the same id set.
 
-    Computed over all pairs: (concordant - discordant) / C(n, 2), by one
-    zero-gap ``_count_agreeing`` sweep in O(n log n) time and O(n) memory.
+    (concordant - discordant) / C(n, 2) over all pairs, by one zero-gap
+    ``_count_agreeing`` sweep.
 
     Raises:
         InputError: The orderings are not permutations of the same ids.

@@ -6,22 +6,11 @@ With pair reference R = (score(a) + score(p)) / 2 (or score(a) when
 
     alpha < |score(a) - score(p)| / |R - score(n)| < beta     (strictly).
 
-A zero denominator counts as a rejection, not an error. ``collect_indices``
-returns accepted triples as one (3, k) int64 block with rows a, p and n;
-``window``, the one place the formula is written, gives any block's R (and
-so its pair_above flags, R > score(n)) and ratios. Acceptance statistics
-are tracked per proposal so the size of the accepted-triple space can be
-estimated from the acceptance rate.
+``window`` is the one place the formula is written.
 
 A sampler owns one RNG stream (numpy PCG64 seeded from its config) and is
-not safe to share across concurrent callers; run one instance per thread
-with distinct seeds instead. Proposals are drawn 2,048 at a time, and a
-call hands out slices of one table per chunk: its acceptances, the running
-count of distinct proposals through each (the tail rejected before the
-chunk carried in), and the first that follows ``max_proposals`` or more
-rejections in a row. The proposal stream is a pure function of the seed,
-independent of how many triplets each call requests: ``trainer.train``
-draws a window's triplets in one call, with the stats of one call a step.
+not safe to share across concurrent callers. The proposal stream is a pure
+function of the seed, independent of how many triplets each call requests.
 """
 
 from __future__ import annotations

@@ -1,18 +1,12 @@
 """Synthetic datasets with known ground-truth scores.
 
-Each record draws a latent score s uniformly from [0, 1] and a view count V
-log-uniformly from the configured range, then sets faves = round(V**s). That
-construction inverts the log-ratio score exactly up to integer rounding, so
-``compute_score(V, F)`` recovers s to within ln(2)/ln(view_lo).
-
-Features are a seeded random mixture of a five-function basis of s plus
-optional Gaussian noise. s is itself one of the basis functions and, for
-d_in >= 5, the mixing matrix has full column rank, so a linear probe reads
-s off almost exactly (least squares with an intercept on the n = 2000,
-d_in = 16, noise 0.05, seed 7 benchmark gives R^2 = 0.994). The basis has
-|basis(s)|^2 = 1 + s^2 + s^4 + s^6, so the feature norm rises with s; after
-the random mixing, raw feature norms alone still order records largely by
-score, before any training.
+Setting faves = round(V**s) for latent score s and view count V inverts the
+log-ratio score up to integer rounding, so ``compute_score(V, F)`` recovers
+s to within ln(2)/ln(view_lo). s is itself one of the five basis functions
+the features mix and, for d_in >= 5, the mixing matrix has full column rank,
+so a linear probe reads s off almost exactly. The basis has
+|basis(s)|^2 = 1 + s^2 + s^4 + s^6, so raw feature norms alone order records
+largely by score, before any training.
 
 RNG: numpy's default PCG64 generator seeded with ``SynthConfig.seed``. The
 draw order is fixed (mixing matrix first, then per row: latent score,
@@ -68,12 +62,7 @@ def basis(s: float) -> np.ndarray:
 
 
 def mixing_matrix(config: SynthConfig) -> np.ndarray:
-    """The (d_in, 5) mixing matrix used by ``generate`` for this config.
-
-    Rows are standard-normal draws normalized to unit length, taken from a
-    fresh generator before any record draws, so this replays exactly what
-    ``generate`` uses internally.
-    """
+    """The (d_in, 5) mixing matrix ``generate`` draws first for this config: unit-length normal rows."""
     rng = np.random.default_rng(config.seed)
     return _draw_mixing_matrix(rng, config.d_in)
 

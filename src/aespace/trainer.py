@@ -1,20 +1,16 @@
 """SGD training of the encoder on streamed triplets.
 
-Steps run in windows of ``PLATEAU_WINDOW``, each drawing its triplets in one
-sampler call; a step takes the next batch, averages the loss gradient over it
-(mean, not sum, so loss magnitudes compare across batch sizes) and applies a
-plain gradient-descent update. Each window logs its mean losses. The
+A step averages the loss gradient over its batch (mean, not sum, so loss
+magnitudes compare across batch sizes) and applies a plain gradient-descent
+update. Steps run in logged windows of ``PLATEAU_WINDOW``. The
 learning rate starts at ``lr_init`` and is divided by ``LR_DECAY_FACTOR``
 once ``PLATEAU_PATIENCE`` full windows in a row fail to beat the best mean
 loss by ``PLATEAU_MIN_REL_IMPROVEMENT``; training stops early once the rate
 falls below ``LR_FLOOR``. No momentum, no data augmentation: features are
 consumed exactly as stored.
 
-Determinism: a single master seed drives everything. Two child seeds are
-derived from it (numpy SeedSequence order: encoder init first, then the
-triplet stream), so identical dataset + config + seed reproduce the final
-parameters bit for bit. The seed inside ``TrainConfig.sampler`` is
-superseded by the derived child seed.
+Identical dataset + config + seed reproduce the final parameters bit for
+bit; the seed inside ``TrainConfig.sampler`` is superseded by ``derive_seeds``.
 """
 
 from __future__ import annotations
@@ -32,12 +28,11 @@ from .loss import LossConfig, batch_loss
 from .sampler import SamplerConfig, SamplerStats, TripletSampler
 
 # the divide-on-plateau schedule, read by ``train`` at call time
-PLATEAU_WINDOW = 500  # steps per logged window
-PLATEAU_PATIENCE = 3  # stalled full windows in a row before a decay
-# a window mean counts as an improvement only if it beats the best by this fraction
+PLATEAU_WINDOW = 500
+PLATEAU_PATIENCE = 3
 PLATEAU_MIN_REL_IMPROVEMENT = 1e-3
 LR_DECAY_FACTOR = 10.0
-LR_FLOOR = 1e-6  # training stops once the rate falls below this
+LR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class TrainLog:
 
 
 def derive_seeds(seed: int) -> tuple[int, int]:
-    """(encoder-init seed, sampler seed) derived from the master seed."""
+    """(encoder-init seed, sampler seed) derived from the master seed, in numpy SeedSequence order."""
     state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     return int(state[0]), int(state[1])
 

@@ -1,17 +1,10 @@
 """Frame-sequence scoring, scalar Kalman smoothing, and peak extraction.
 
 Frames arrive as feature vectors in temporal order and are scored by the
-embedding norm. ``load_frames`` yields them a ``data_model.read_blocks``
-block at a time, so scoring a video holds each frame's id and score, not
-its features or embedding. The raw score signal is smoothed by a causal
-scalar Kalman filter with a constant-position state model (the simplest
-model that smooths a scalar), then key frames are picked at the smoothed
-signal's peaks. No backward smoothing pass: each output depends only on
-frames seen so far, matching live processing. Peak picking compares each run
-of equal values with its neighbours, finds both prominence bases with one
-stack pass each way when a minimum prominence is set, and thins tallest first
-over a mask of blocked frames: O(n + k log k + k * min_separation) for n
-frames and k candidates.
+embedding norm. The raw score signal is smoothed by a causal scalar Kalman
+filter with a constant-position state model (the simplest model that smooths
+a scalar), then key frames are picked at the smoothed signal's peaks. Each
+output depends only on frames seen so far, matching live processing.
 """
 
 from __future__ import annotations
@@ -31,9 +24,8 @@ from .errors import ConfigError, InputError
 class KalmanConfig:
     """Scalar filter noise levels and initialization.
 
-    ``x0`` of None means the state starts at the first measurement;
-    otherwise the state starts at the given value. ``p0`` is the initial
-    variance in both policies.
+    The state starts at ``x0``, or at the first measurement if ``x0`` is
+    None; ``p0`` is the initial variance either way.
     """
 
     q: float = 1e-4
@@ -115,12 +107,8 @@ def _left_bases(heights: list[float]) -> list[float]:
 
 
 def peak_prominences(series: np.ndarray, peaks: list[int]) -> list[float]:
-    """Prominence of each peak index in ``series``.
-
-    On each side, the base is the minimum over the stretch out to the
-    nearest strictly higher value (or the signal border). Prominence is the
-    peak height minus the higher of the two bases.
-    """
+    """Prominence of each peak index in ``series``: its height minus the higher of its two bases,
+    the ``_left_bases`` minimum on each side."""
     series = np.asarray(series, dtype=np.float64)
     left = np.array(_left_bases(series.tolist()))
     right = np.array(_left_bases(series[::-1].tolist()))[::-1]
@@ -135,7 +123,8 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
     Endpoints are never peaks. Candidates below ``min_prominence`` are
     dropped, then the rest are kept greedily in descending height (ties by
     ascending index) subject to pairwise distance >= ``min_separation``.
-    The surviving indices are returned ascending.
+    The surviving indices are returned ascending. O(n + k log k + k *
+    min_separation) time for n values and k candidates.
 
     Raises:
         InputError: The series is empty or holds a NaN or infinite value.
@@ -166,12 +155,10 @@ def detect_peaks(series, config: PeakConfig = PeakConfig()) -> list[int]:
 
 
 def load_frames(path: str | Path) -> Iterator[Dataset]:
-    """Frame records (metadata lines; views/faves optional) as ``data_model.read_blocks`` blocks.
+    """Frame records (metadata lines; views/faves optional) as ``read_blocks(path, frames=True)`` blocks.
 
-    Each block holds the ids and features of up to ``ROW_BLOCK + 1`` frames,
-    in file order. The file is read one block at a time as the blocks are
-    consumed, and the first bad line aborts the read: a frame cannot be
-    dropped without shifting the timeline.
+    The first bad line aborts the read: a frame cannot be dropped without
+    shifting the timeline.
 
     Raises:
         ParseError: A line is structurally invalid, its feature length

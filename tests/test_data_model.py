@@ -9,16 +9,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aespace import encoder
 from aespace.data_model import (
     ROW_BLOCK,
     Dataset,
     compute_score,
     load_dataset,
     read_blocks,
+    row_blocks,
     save_dataset,
     score_histogram,
     write_csv,
 )
+from aespace.ranker import embed
 from aespace.errors import InputError, ParseError, RecordError
 
 
@@ -500,6 +503,23 @@ class TestReadBlocks:
         for column in ("features", "latent_scores"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(block, column) for block in blocks]), getattr(whole, column))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2,
+                                   2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2, 3 * ROW_BLOCK + 2])
+    def test_a_stream_is_cut_where_row_blocks_cuts_the_whole_matrix(self, tmp_path, n):
+        # so a streamed command makes the BLAS calls of one over the loaded matrix
+        path = tmp_path / "d.jsonl"
+        features = np.random.default_rng(14).normal(size=(n, 16))
+        save_dataset(Dataset([f"r{i}" for i in range(n)], [100] * n, [1 + i % 100 for i in range(n)],
+                             features, np.full(n, np.nan)), path)
+        blocks = list(read_blocks(path))
+        whole = load_dataset(path).features
+        assert [len(block) for block in blocks] == [len(block) for block in row_blocks(whole)]
+        params = encoder.init([16, 64, 32, 16], seed=7)
+        phi, norms = embed(params, whole)
+        streamed = [embed(params, block.features) for block in blocks]
+        assert np.concatenate([block_phi for block_phi, _ in streamed]).tobytes() == phi.tobytes()
+        assert np.concatenate([block_norms for _, block_norms in streamed]).tobytes() == norms.tobytes()
 
     def test_frames_keep_ids_and_features_only(self, tmp_path):
         path = tmp_path / "f.jsonl"

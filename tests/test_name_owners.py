@@ -1,6 +1,6 @@
 """Each decision named below is written in one module under ``src/aespace``.
 
-The row-block rule (``np.array_split`` into ``ROW_BLOCK``-row blocks) lives in
+The row-block rule (``ROW_BLOCK``-row blocks) lives in
 ``data_model.row_blocks``, and the projection score is taken only inside
 ``ranker``, whose ``embed`` returns the norms to every caller. In ``cli``, only
 ``train`` and ``sample`` load a whole dataset; every other command reads its
@@ -17,7 +17,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "aespace"
 
 OWNERS = {
-    "array_split": "data_model.py",
     "ROW_BLOCK": "data_model.py",
     "projection_score": "ranker.py",
     **dict.fromkeys(["TWIN_SUFFIX", "_TWIN_HEAD", "_TWIN_MAGIC", "_TWIN_VERSION", "_TWIN_CHUNK",

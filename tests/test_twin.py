@@ -429,6 +429,25 @@ def test_reading_a_pipe_or_a_symlink_writes_no_twin(tmp_path, frames, kind):
     assert_same_blocks(got, list(read_blocks(regular, frames=frames)), frames)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_at_the_twin_path_is_not_waited_on_but_replaced(tmp_path, monkeypatch):
+    # opening a FIFO for reading waits for a writer, which may never come
+    path, regular = tmp_path / "d.jsonl", tmp_path / "regular" / "d.jsonl"
+    regular.parent.mkdir()
+    for p in (path, regular):
+        save_dataset(odd_dataset(10), p)
+    os.mkfifo(twin_of(path))
+    got = []
+    reader = threading.Thread(target=lambda: got.append(list(read_blocks(path))), daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive(), "the read is waiting on the FIFO"
+    parsed = list(read_blocks(regular))
+    assert_same_blocks(got[0], parsed, frames=False)
+    assert twin_of(path).is_file()
+    assert_same_blocks(read_from_twin(path, False, monkeypatch), parsed, frames=False)
+
+
 def test_a_read_closed_after_its_first_block_leaves_no_file(tmp_path):
     path = tmp_path / "d.jsonl"
     save_dataset(odd_dataset(2 * B + 5), path)
